@@ -36,6 +36,7 @@ from .objectives import (
     multiframe_transition_reward,
     potential_batch_loss,
     potential_step_reward,
+    segment_logits,
     segment_reward_potential,
     segment_reward_transition,
     transition_batch_loss,
@@ -92,6 +93,7 @@ __all__ = [
     "sample_segment",
     "save_checkpoint",
     "save_dataset",
+    "segment_logits",
     "segment_reward_potential",
     "segment_reward_transition",
     "train",

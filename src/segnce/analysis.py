@@ -15,14 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import cosine_similarity, mlp_apply, normalize_rows
-from .encoders import Instruction, encode_instruction
+from .autodiff import mlp_apply, normalize_rows
+from .encoders import Instruction, encode_instruction, encode_instructions
 from .errors import EmptyInputError, ShapeMismatchError
-from .objectives import (
-    multiframe_transition_reward,
-    segment_reward_potential,
-    segment_reward_transition,
-)
+from .objectives import BatchEmbeddings, segment_logits
 from .sampling import Segment, Trajectory
 from .training import Checkpoint
 
@@ -68,6 +64,12 @@ def normalize_curve(raw: np.ndarray) -> np.ndarray:
     return np.full_like(raw, 0.5)
 
 
+def frame_similarity(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Cosine of every row of a frame-embedding matrix to one instruction
+    embedding (normalized with a 1e-8 floor on its norm)."""
+    return normalize_rows(phi) @ (psi / max(float(np.linalg.norm(psi)), 1e-8))
+
+
 def reward_curve(ckpt: Checkpoint, traj: Trajectory, instruction: Instruction) -> RewardCurve:
     """Raw per-frame frame/instruction cosine similarities plus their
     min-max normalization."""
@@ -76,31 +78,36 @@ def reward_curve(ckpt: Checkpoint, traj: Trajectory, instruction: Instruction) -
         raise ShapeMismatchError(
             f"trajectory observation width {traj.observations.shape[1]} != checkpoint d_obs {d_obs}"
         )
-    phi = embed_frames(ckpt, traj.observations)
-    psi = embed_instruction(ckpt, instruction)
-    raw = normalize_rows(phi) @ (psi / max(float(np.linalg.norm(psi)), 1e-8))
+    raw = frame_similarity(embed_frames(ckpt, traj.observations), embed_instruction(ckpt, instruction))
     return RewardCurve(instruction=instruction, raw=raw, normalized=normalize_curve(raw))
 
 
-def segment_score(ckpt: Checkpoint, segment: Segment, instruction: Instruction) -> float:
-    """Segment reward under the checkpoint's own objective family."""
-    psi = embed_instruction(ckpt, instruction)
-    variant = ckpt.objective.variant
-    if variant == "p":
-        phi_start = embed_frames(ckpt, segment.start_observation()[None])[0]
-        phi_goal = embed_frames(ckpt, segment.goal_observation()[None])[0]
-        return float(segment_reward_potential(phi_start, phi_goal, psi))
-    if variant == "frame-align":
-        phi_goal = embed_frames(ckpt, segment.goal_observation()[None])[0]
-        return float(cosine_similarity(phi_goal, psi))
-    hops = ckpt.objective.hops
-    if hops > 1:
-        idx = segment.frame_indices(hops)
-        frames = embed_frames(ckpt, segment.trajectory.observations[idx])
-        return float(multiframe_transition_reward(list(frames), psi, hops))
-    phi_start = embed_frames(ckpt, segment.start_observation()[None])[0]
-    phi_goal = embed_frames(ckpt, segment.goal_observation()[None])[0]
-    return float(segment_reward_transition(phi_start, phi_goal, psi))
+def segment_score(
+    ckpt: Checkpoint, segments: Sequence[Segment], instructions: Sequence[Instruction]
+) -> np.ndarray:
+    """(S, I) rewards of every segment under every instruction, with the
+    checkpoint's own objective.
+
+    The frames each reward reads (the endpoints, the k+1 hop frames of a
+    multi-frame variant, or the goal frame for frame alignment) are embedded
+    in one frozen pass, the instructions in another, and ``segment_logits``
+    scores the whole grid.
+    """
+    spec = ckpt.objective
+    obs = np.stack([
+        s.trajectory.observations[[s.goal] if spec.variant == "frame-align" else s.frame_indices(spec.hops)]
+        for s in segments
+    ])  # (S, frames per segment, d_obs)
+    emb = embed_frames(ckpt, obs.reshape(-1, obs.shape[-1])).reshape(*obs.shape[:2], -1)
+    frames = [emb[:, p] for p in range(emb.shape[1])]
+    batch = BatchEmbeddings(
+        starts=frames[0],
+        goals=frames[-1],
+        instructions=encode_instructions(ckpt.encoders.language, instructions),
+        intermediates=frames,
+        single=frames[-1],
+    )
+    return segment_logits(spec, batch)
 
 
 def reward_heatmap(
@@ -112,13 +119,10 @@ def reward_heatmap(
 ) -> HeatmapGrid:
     if len(segments) == 0 or len(instructions) == 0:
         raise EmptyInputError("heatmap needs at least one segment and one instruction")
-    values = np.array(
-        [[segment_score(ckpt, seg, ins) for ins in instructions] for seg in segments]
-    )
     return HeatmapGrid(
         segments=list(segments),
         instructions=list(instructions),
-        values=values,
+        values=segment_score(ckpt, segments, instructions),
         row_labels=list(row_labels) if row_labels else [f"segment{i}" for i in range(len(segments))],
         col_labels=list(col_labels) if col_labels else [f"instruction{j}" for j in range(len(instructions))],
     )

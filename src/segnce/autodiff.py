@@ -302,12 +302,6 @@ class Tensor:
         return f"Tensor(shape={self.value.shape}, leaf={not self._parents})"
 
 
-def gradients(root: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
-    """Run backward from a scalar root and return a gradient per leaf."""
-    root.backward()
-    return [leaf.grad.copy() for leaf in leaves]
-
-
 # ---- similarity and log-sum-exp ----------------------------------------------
 
 

@@ -290,8 +290,15 @@ def run_resolved(subcommand: str, cfg: dict) -> Path:
 
 
 def replay_manifest(manifest_path, out_map: dict | None = None) -> Path:
-    """Re-execute a run from its manifest; optionally remap output paths."""
+    """Re-execute a run from its manifest; optionally remap output paths.
+
+    Every input the manifest records is re-hashed first; if one has changed
+    since the run, nothing is executed and no output is touched.
+    """
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    for path, digest in manifest["inputs"].items():
+        if _sha256(Path(path)) != digest:
+            raise SegnceError(f"replay input {path} does not match the sha256 its manifest records")
     cfg = dict(manifest["config"])
     if out_map:
         for key, value in list(cfg.items()):

@@ -23,9 +23,6 @@ class Instruction:
     verb: int
     obj: int
 
-    def tokens(self) -> tuple[int, int]:
-        return (self.verb, self.obj)
-
 
 @dataclass(frozen=True)
 class EncoderConfig:

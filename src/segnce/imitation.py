@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import MlpParams, Tensor, init_mlp, mlp_apply
 from .analysis import embed_frames, embed_instruction
 from .encoders import Instruction
-from .errors import EmptyInputError
+from .errors import CheckpointFormatError, EmptyInputError
 from .sampling import Trajectory
 from .training import (
     Checkpoint,
@@ -186,17 +186,20 @@ def save_policy(policy: PolicyParams, path) -> None:
 def load_policy(path) -> PolicyParams:
     meta, arrays = read_array_archive(path)
     if meta.get("kind") != "policy-checkpoint":
-        raise EmptyInputError(f"not a policy checkpoint: kind={meta.get('kind')!r}")
-    widths = [int(w) for w in meta["widths"]]
-    weights = [Tensor(arrays[f"policy/w{i}"].copy()) for i in range(len(widths) - 1)]
-    biases = [Tensor(arrays[f"policy/b{i}"].copy()) for i in range(len(widths) - 1)]
-    cfg = dict(meta["config"])
-    cfg["hidden"] = tuple(cfg["hidden"])
-    return PolicyParams(
-        mlp=MlpParams(widths=widths, weights=weights, biases=biases),
-        config=BcConfig(**cfg),
-        loss_history=arrays["loss_history"],
-    )
+        raise CheckpointFormatError(f"not a policy checkpoint: kind={meta.get('kind')!r}")
+    try:
+        widths = [int(w) for w in meta["widths"]]
+        weights = [Tensor(arrays[f"policy/w{i}"].copy()) for i in range(len(widths) - 1)]
+        biases = [Tensor(arrays[f"policy/b{i}"].copy()) for i in range(len(widths) - 1)]
+        cfg = dict(meta["config"])
+        cfg["hidden"] = tuple(cfg["hidden"])
+        return PolicyParams(
+            mlp=MlpParams(widths=widths, weights=weights, biases=biases),
+            config=BcConfig(**cfg),
+            loss_history=arrays["loss_history"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise CheckpointFormatError(f"malformed policy checkpoint {path}: missing or invalid {exc}") from exc
 
 
 def write_bc_report(path, report: dict) -> None:

@@ -9,13 +9,15 @@ embedding:
 * transition form: the cosine similarity between the embedding
   displacement goal - start and the instruction embedding.
 
-Each batch loss contrasts every segment's matched instruction against all
-in-batch mismatches, in both directions (over segments for a fixed
-instruction, and over instructions for a fixed segment), InfoNCE style.
 The multi-frame variants split a segment into 4 or 8 evenly spaced hops
-and sum the per-hop transition rewards; the single-frame alignment loss
+and sum the per-hop transition rewards; the single-frame alignment arm
 drops segments entirely and aligns one frame with the instruction, and
 exists as a comparison arm.
+
+``segment_logits`` is the one batched form of these rewards. The batch loss
+contrasts its matched entries against all in-batch mismatches in both
+directions, InfoNCE style, and the heatmap reads it as the reward. The
+per-vector helpers are the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -160,50 +162,50 @@ def infonce_pair_loss(logits: "Tensor | np.ndarray"):
     return float((col.sum() + row.sum() - 2.0 * np.trace(values)) / b)
 
 
-def _transition_logits(batch: BatchEmbeddings) -> "Tensor | np.ndarray":
-    return cosine_matrix(batch.goals - batch.starts, batch.instructions)
-
-
-def potential_batch_loss(batch: BatchEmbeddings, temperature: float = 1.0):
-    """Endpoint similarity-change logits, contrasted both ways."""
-    logits = cosine_matrix(batch.goals, batch.instructions) - cosine_matrix(
-        batch.starts, batch.instructions
-    )
-    return infonce_pair_loss(logits * (1.0 / temperature))
-
-
-def transition_batch_loss(batch: BatchEmbeddings, temperature: float = 1.0):
-    """Displacement-direction logits, contrasted both ways."""
-    return infonce_pair_loss(_transition_logits(batch) * (1.0 / temperature))
-
-
-def multiframe_batch_loss(batch: BatchEmbeddings, k: int, temperature: float = 1.0):
-    """Sum of per-hop displacement logits over k evenly spaced hops."""
+def segment_logits(spec: ObjectiveSpec, batch: BatchEmbeddings):
+    """(B, I) reward of each segment in ``batch`` under each row of
+    ``batch.instructions``, in ``spec``'s form: endpoint similarity change
+    (``p``), displacement direction (``t``), summed per-hop directions over
+    ``intermediates`` (``t4``/``t8``) or ``single``-frame similarity
+    (``frame-align``)."""
+    ins = batch.instructions
+    if spec.variant == "p":
+        return cosine_matrix(batch.goals, ins) - cosine_matrix(batch.starts, ins)
+    if spec.variant == "t":
+        return cosine_matrix(batch.goals - batch.starts, ins)
+    if spec.variant == "frame-align":
+        if batch.single is None:
+            raise ShapeMismatchError("frame-alignment logits need single-frame embeddings")
+        return cosine_matrix(batch.single, ins)
     frames = batch.intermediates
-    if frames is None or len(frames) != k + 1:
+    if frames is None or len(frames) != spec.n_sample_points:
         got = 0 if frames is None else len(frames)
-        raise ShapeMismatchError(f"expected {k + 1} frame embedding matrices, got {got}")
+        raise ShapeMismatchError(f"expected {spec.n_sample_points} frame embedding matrices, got {got}")
     logits = None
     for a, b in zip(frames[:-1], frames[1:]):
-        term = cosine_matrix(b - a, batch.instructions)
+        term = cosine_matrix(b - a, ins)
         logits = term if logits is None else logits + term
-    return infonce_pair_loss(logits * (1.0 / temperature))
-
-
-def frame_alignment_loss(batch: BatchEmbeddings, temperature: float = 1.0):
-    """Symmetric single-frame/instruction contrastive loss (comparison arm)."""
-    if batch.single is None:
-        raise ShapeMismatchError("frame-alignment loss needs single-frame embeddings")
-    logits = cosine_matrix(batch.single, batch.instructions)
-    return infonce_pair_loss(logits * (1.0 / temperature))
+    return logits
 
 
 def batch_loss(spec: ObjectiveSpec, batch: BatchEmbeddings):
-    """Dispatch to the loss selected by ``spec``."""
-    if spec.variant == "p":
-        return potential_batch_loss(batch, spec.temperature)
-    if spec.variant == "t":
-        return transition_batch_loss(batch, spec.temperature)
-    if spec.variant in _MULTIFRAME_HOPS:
-        return multiframe_batch_loss(batch, _MULTIFRAME_HOPS[spec.variant], spec.temperature)
-    return frame_alignment_loss(batch, spec.temperature)
+    """InfoNCE over ``spec``'s segment logits, scaled by 1/temperature."""
+    return infonce_pair_loss(segment_logits(spec, batch) * (1.0 / spec.temperature))
+
+
+# per-variant entry points for callers that name the variant directly
+def potential_batch_loss(batch: BatchEmbeddings, temperature: float = 1.0):
+    return batch_loss(ObjectiveSpec("p", temperature=temperature), batch)
+
+
+def transition_batch_loss(batch: BatchEmbeddings, temperature: float = 1.0):
+    return batch_loss(ObjectiveSpec("t", temperature=temperature), batch)
+
+
+def multiframe_batch_loss(batch: BatchEmbeddings, k: int, temperature: float = 1.0):
+    """The ``t4`` (k=4) or ``t8`` (k=8) loss."""
+    return batch_loss(ObjectiveSpec(f"t{k}", temperature=temperature), batch)
+
+
+def frame_alignment_loss(batch: BatchEmbeddings, temperature: float = 1.0):
+    return batch_loss(ObjectiveSpec("frame-align", temperature=temperature), batch)

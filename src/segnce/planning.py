@@ -21,8 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import embed_frames, embed_instruction
-from .autodiff import normalize_rows
+from .analysis import embed_frames, embed_instruction, frame_similarity
 from .encoders import Instruction
 from .errors import EmptyInputError, ShapeMismatchError
 from .training import Checkpoint
@@ -46,13 +45,6 @@ class PlannerConfig:
             raise EmptyInputError("need temperature > 0 and gamma in (0, 1]")
 
 
-@dataclass
-class RolloutScore:
-    actions: np.ndarray
-    raw_return: float
-    normalized_return: float
-
-
 def _roll_z(world: World, task: int, z0: float, actions: np.ndarray) -> np.ndarray:
     """Latent completion path (n, horizon+1) for a batch of action sequences."""
     acts = world.clamp_actions(np.asarray(actions, dtype=np.float64))
@@ -67,66 +59,33 @@ def _roll_z(world: World, task: int, z0: float, actions: np.ndarray) -> np.ndarr
     return zs
 
 
-def _embedding_similarity_curve(
-    ckpt: Checkpoint, world: World, state: LatentState, zs: np.ndarray, psi_hat: np.ndarray
-) -> np.ndarray:
-    """Frame/instruction cosine for every z in a (n, horizon+1) grid."""
-    n, steps = zs.shape
-    obs = world.render_batch(state.task, zs.reshape(-1), state.distractors)
-    emb = normalize_rows(embed_frames(ckpt, obs))
-    return (emb @ psi_hat).reshape(n, steps)
-
-
-def rollout_return(
+def embedding_returns(
     ckpt: Checkpoint,
     world: World,
     start_state: LatentState,
-    actions: np.ndarray,
     instruction: Instruction,
+    proposals: np.ndarray,
     gamma: float = 1.0,
-) -> float:
-    """Discounted sum of per-step similarity changes along one noise-free rollout.
+) -> np.ndarray:
+    """Embedding-reward return of each (horizon, d_act) action sequence in
+    ``proposals``: the discounted sum of per-step changes in frame/instruction
+    similarity along its noise-free rollout from ``start_state``.
 
-    With gamma = 1 this telescopes to the endpoint similarity difference.
+    With gamma = 1 each return telescopes to the endpoint similarity difference.
     """
-    actions = np.asarray(actions, dtype=np.float64)
-    if actions.ndim != 2 or actions.shape[1] != world.config.d_act:
-        raise ShapeMismatchError(f"actions must be (horizon, {world.config.d_act}), got {actions.shape}")
-    psi = embed_instruction(ckpt, instruction)
-    psi_hat = psi / max(float(np.linalg.norm(psi)), 1e-8)
-    zs = _roll_z(world, start_state.task, start_state.z, actions[None])
-    sim = _embedding_similarity_curve(ckpt, world, start_state, zs, psi_hat)[0]
-    steps = np.diff(sim)
-    weights = gamma ** np.arange(len(steps))
-    return float(np.sum(weights * steps))
+    proposals = np.asarray(proposals, dtype=np.float64)
+    if proposals.ndim != 3 or proposals.shape[2] != world.config.d_act:
+        raise ShapeMismatchError(f"proposals must be (n, horizon, {world.config.d_act}), got {proposals.shape}")
+    zs = _roll_z(world, start_state.task, start_state.z, proposals)
+    obs = world.render_batch(start_state.task, zs.reshape(-1), start_state.distractors)
+    sim = frame_similarity(embed_frames(ckpt, obs), embed_instruction(ckpt, instruction)).reshape(zs.shape)
+    return np.sum(np.diff(sim, axis=1) * gamma ** np.arange(proposals.shape[1]), axis=1)
 
 
 def normalize_returns(returns: np.ndarray) -> np.ndarray:
     """Standardize returns over the proposal set; std floored at 1e-8."""
     returns = np.asarray(returns, dtype=np.float64)
     return (returns - returns.mean()) / max(float(returns.std()), 1e-8)
-
-
-def score_rollouts(
-    ckpt: Checkpoint,
-    world: World,
-    start_state: LatentState,
-    proposals: np.ndarray,
-    instruction: Instruction,
-    gamma: float = 1.0,
-) -> list[RolloutScore]:
-    """Embedding-reward returns for a proposal set, raw and normalized."""
-    psi = embed_instruction(ckpt, instruction)
-    psi_hat = psi / max(float(np.linalg.norm(psi)), 1e-8)
-    zs = _roll_z(world, start_state.task, start_state.z, proposals)
-    sim = _embedding_similarity_curve(ckpt, world, start_state, zs, psi_hat)
-    gammas = gamma ** np.arange(proposals.shape[1])
-    raw = np.sum(np.diff(sim, axis=1) * gammas, axis=1)
-    normalized = normalize_returns(raw)
-    return [
-        RolloutScore(actions=p, raw_return=float(r), normalized_return=float(n))
-        for p, r, n in zip(proposals, raw, normalized)
-    ]
 
 
 def mppi_weights(normalized_returns: np.ndarray, temperature: float) -> np.ndarray:
@@ -170,14 +129,8 @@ def plan(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Optimize an action sequence against the embedding reward."""
-    psi = embed_instruction(ckpt, instruction)
-    psi_hat = psi / max(float(np.linalg.norm(psi)), 1e-8)
-    gammas = config.gamma ** np.arange(config.horizon)
-
     def returns_fn(proposals: np.ndarray) -> np.ndarray:
-        zs = _roll_z(world, start_state.task, start_state.z, proposals)
-        sim = _embedding_similarity_curve(ckpt, world, start_state, zs, psi_hat)
-        return np.sum(np.diff(sim, axis=1) * gammas, axis=1)
+        return embedding_returns(ckpt, world, start_state, instruction, proposals, config.gamma)
 
     return _mppi(returns_fn, config, world.config.d_act, rng)
 

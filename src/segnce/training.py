@@ -288,20 +288,24 @@ def read_array_archive(path) -> tuple[dict, dict[str, np.ndarray]]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"unreadable checkpoint header: {exc}") from exc
     off += header_len
+    try:
+        meta = dict(header["meta"])
+        specs = [(str(spec["name"]), tuple(int(s) for s in spec["shape"])) for spec in header["arrays"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"malformed checkpoint header in {path}: {exc!r}") from exc
     arrays = {}
-    for spec in header["arrays"]:
-        shape = tuple(int(s) for s in spec["shape"])
+    for name, shape in specs:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if off + nbytes > len(data):
-            raise CheckpointFormatError(f"truncated array {spec['name']!r} in {path}")
-        arrays[spec["name"]] = (
+            raise CheckpointFormatError(f"truncated array {name!r} in {path}")
+        arrays[name] = (
             np.frombuffer(data[off : off + nbytes], dtype="<f8").astype(np.float64).reshape(shape)
         )
         off += nbytes
     if off != len(data):
         raise CheckpointFormatError(f"{len(data) - off} trailing bytes in {path}")
-    return header["meta"], arrays
+    return meta, arrays
 
 
 def _encoder_arrays(encoders: Encoders) -> dict[str, np.ndarray]:
@@ -361,14 +365,17 @@ def load_checkpoint(path) -> Checkpoint:
     meta, arrays = read_array_archive(path)
     if meta.get("kind") != "encoder-checkpoint":
         raise CheckpointFormatError(f"not an encoder checkpoint: kind={meta.get('kind')!r}")
-    enc = dict(meta["encoder_config"])
-    enc["vision_hidden"] = tuple(enc["vision_hidden"])
-    enc["projection_hidden"] = tuple(enc["projection_hidden"])
-    enc_config = EncoderConfig(**enc)
-    return Checkpoint(
-        encoders=_encoders_from_arrays(enc_config, arrays),
-        objective=ObjectiveSpec(**meta["objective"]),
-        config=_config_from_json(meta["train_config"]),
-        iteration=int(meta["iteration"]),
-        history=arrays["history"],
-    )
+    try:
+        enc = dict(meta["encoder_config"])
+        enc["vision_hidden"] = tuple(enc["vision_hidden"])
+        enc["projection_hidden"] = tuple(enc["projection_hidden"])
+        enc_config = EncoderConfig(**enc)
+        return Checkpoint(
+            encoders=_encoders_from_arrays(enc_config, arrays),
+            objective=ObjectiveSpec(**meta["objective"]),
+            config=_config_from_json(meta["train_config"]),
+            iteration=int(meta["iteration"]),
+            history=arrays["history"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise CheckpointFormatError(f"malformed encoder checkpoint {path}: missing or invalid {exc}") from exc

@@ -17,6 +17,7 @@ generated trajectory a replayable demonstration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
@@ -342,6 +343,7 @@ def load_dataset(path) -> tuple[WorldConfig, list[Trajectory]]:
         if header.get("version") != DATASET_VERSION:
             raise DatasetFormatError(f"unsupported dataset version {header.get('version')}")
         config = WorldConfig(**header["config"])
+        world = World(config)
         trajectories = []
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -352,20 +354,26 @@ def load_dataset(path) -> tuple[WorldConfig, list[Trajectory]]:
                 obs = np.array(rec["observations"], dtype=np.float64).reshape(h, config.d_obs)
                 actions = rec.get("actions")
                 progression = rec.get("progression")
-                trajectories.append(
-                    Trajectory(
-                        observations=obs,
-                        instruction=Instruction(*rec["instruction"]),
-                        actions=None
-                        if actions is None
-                        else np.array(actions, dtype=np.float64).reshape(h - 1, config.d_act),
-                        progression=None
-                        if progression is None
-                        else np.array(progression, dtype=np.float64),
-                    )
+                traj = Trajectory(
+                    observations=obs,
+                    instruction=Instruction(*rec["instruction"]),
+                    actions=None
+                    if actions is None
+                    else np.array(actions, dtype=np.float64).reshape(h - 1, config.d_act),
+                    progression=None
+                    if progression is None
+                    else np.array(progression, dtype=np.float64),
                 )
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
+                world.task_for_instruction(traj.instruction)
+                for name in ("observations", "actions", "progression"):
+                    values = getattr(traj, name)
+                    # min and max propagate NaN and expose infinities without the
+                    # per-record temporary of np.isfinite, which fragments the heap
+                    if values is not None and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+                        raise ValueError(f"non-finite {name}")
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetFormatError(f"bad record at line {line_no}: {exc}") from exc
+            trajectories.append(traj)
     return config, trajectories
 
 

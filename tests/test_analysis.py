@@ -9,14 +9,21 @@ from segnce.analysis import (
     normalize_curve,
     random_frame_pair_similarity,
     reward_curve,
+    embed_frames,
+    embed_instruction,
     reward_heatmap,
-    segment_score,
     write_curve_csv,
     write_heatmap_csv,
     write_stats_json,
 )
+from segnce.autodiff import cosine_similarity
 from segnce.errors import EmptyInputError, ShapeMismatchError
-from segnce.objectives import ObjectiveSpec
+from segnce.objectives import (
+    ObjectiveSpec,
+    multiframe_transition_reward,
+    segment_reward_potential,
+    segment_reward_transition,
+)
 from segnce.sampling import Segment
 from segnce.training import Checkpoint, TrainConfig, train
 from segnce.world import World, WorldConfig
@@ -113,18 +120,30 @@ class TestHeatmap:
         with pytest.raises(EmptyInputError):
             reward_heatmap(tiny_ckpt, [], world.instructions())
 
-    def test_segment_score_variants(self, tiny_ckpt, dataset, world):
-        seg = Segment(dataset[0], 1, 7)
-        ins = world.instructions()[0]
-        t_val = segment_score(tiny_ckpt, seg, ins)
+    @pytest.mark.parametrize("variant", ["p", "t", "t4", "t8", "frame-align"])
+    def test_cells_match_reference_rewards(self, tiny_ckpt, dataset, world, variant):
         import copy
 
-        ck8 = copy.deepcopy(tiny_ckpt)
-        ck8.objective = ObjectiveSpec(variant="t8")
-        assert np.isfinite(segment_score(ck8, seg, ins))
-        ckp = copy.deepcopy(tiny_ckpt)
-        ckp.objective = ObjectiveSpec(variant="p")
-        assert segment_score(ckp, seg, ins) != t_val
+        ckpt = copy.deepcopy(tiny_ckpt)
+        ckpt.objective = ObjectiveSpec(variant=variant)
+        segments = [Segment(dataset[0], 1, 7), Segment(dataset[1], 0, 2), Segment(dataset[2], 3, dataset[2].h - 1)]
+        grid = reward_heatmap(ckpt, segments, world.instructions())
+        for row, seg in zip(grid.values, segments):
+            def phi(t):
+                return embed_frames(ckpt, seg.trajectory.observations[t][None])[0]
+
+            for value, ins in zip(row, world.instructions()):
+                psi = embed_instruction(ckpt, ins)
+                if variant == "p":
+                    ref = segment_reward_potential(phi(seg.start), phi(seg.goal), psi)
+                elif variant == "t":
+                    ref = segment_reward_transition(phi(seg.start), phi(seg.goal), psi)
+                elif variant == "frame-align":
+                    ref = cosine_similarity(phi(seg.goal), psi)
+                else:
+                    hops = ckpt.objective.hops
+                    ref = multiframe_transition_reward([phi(t) for t in seg.frame_indices(hops)], psi, hops)
+                assert value == pytest.approx(ref, abs=1e-12)
 
 
 class TestFirstImageStats:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from segnce.cli import main, replay_manifest
+from segnce.errors import SegnceError
 
 
 def run_cli(args):
@@ -214,3 +215,27 @@ class TestReplay:
     def test_replay_subcommand_exit_code(self, workdir, dataset_path):
         manifest_path = dataset_path.parent / "data.jsonl.manifest.json"
         assert run_cli(["replay", "--manifest", str(manifest_path)]) == 0
+
+    def test_replay_refuses_changed_input(self, workdir):
+        data, ckpt = workdir / "swap.jsonl", workdir / "swap.ckpt"
+        assert run_cli(["gen-world", "--out", str(data), "--count", "10", "--seed", "1"]) == 0
+        assert run_cli(["train", "--data", str(data), "--out", str(ckpt), "--iterations", "3", "--batch-size", "4"]) == 0
+        before = ckpt.read_bytes()
+        assert run_cli(["gen-world", "--out", str(data), "--count", "10", "--seed", "2"]) == 0
+        manifest = workdir / "swap.ckpt.manifest.json"
+        with pytest.raises(SegnceError, match="swap.jsonl"):
+            replay_manifest(manifest)
+        assert run_cli(["replay", "--manifest", str(manifest)]) == 1
+        assert ckpt.read_bytes() == before
+
+
+def test_malformed_checkpoint_exits_one(workdir, dataset_path, ckpt_path):
+    from segnce.training import read_array_archive, write_array_archive
+
+    meta, arrays = read_array_archive(ckpt_path)
+    del arrays["vision/w0"]
+    bad = workdir / "bad.ckpt"
+    write_array_archive(bad, meta, arrays)
+    args = ["heatmap", "--ckpt", str(bad), "--data", str(dataset_path), "--out", str(workdir / "bad.csv")]
+    assert run_cli(args) == 1
+

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segnce.encoders import Instruction
-from segnce.errors import EmptyInputError
+from segnce.errors import CheckpointFormatError, EmptyInputError
 from segnce.imitation import (
     BcConfig,
     evaluate_bc,
@@ -17,7 +17,7 @@ from segnce.imitation import (
 )
 from segnce.objectives import ObjectiveSpec
 from segnce.sampling import Trajectory
-from segnce.training import TrainConfig, train
+from segnce.training import TrainConfig, save_checkpoint, train, write_array_archive
 from segnce.world import World, WorldConfig
 
 
@@ -128,3 +128,23 @@ def test_policy_round_trip(tmp_path, tiny_ckpt, demos):
     for a, b in zip(policy.mlp.leaves(), loaded.mlp.leaves()):
         np.testing.assert_array_equal(a.value, b.value)
     np.testing.assert_array_equal(policy.loss_history, loaded.loss_history)
+
+
+@pytest.mark.parametrize("defect", ["encoder-checkpoint", "widths", "policy/w0"])
+def test_malformed_policy_rejected(tmp_path, tiny_ckpt, demos, defect):
+    from segnce.training import read_array_archive
+
+    path = tmp_path / "bad.policy"
+    if defect == "encoder-checkpoint":
+        save_checkpoint(tiny_ckpt, path)
+    else:
+        save_policy(train_bc(tiny_ckpt, demos, BcConfig(steps=2, seed=0)), path)
+        meta, arrays = read_array_archive(path)
+        if defect in arrays:
+            del arrays[defect]
+        else:
+            del meta[defect]
+        write_array_archive(path, meta, arrays)
+    with pytest.raises(CheckpointFormatError):
+        load_policy(path)
+

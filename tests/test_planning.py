@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from segnce.errors import EmptyInputError
+from segnce.errors import EmptyInputError, ShapeMismatchError
 from segnce.objectives import ObjectiveSpec
 from segnce.planning import (
     PlannerConfig,
+    embedding_returns,
     evaluate_planner,
     execute_plan,
     mppi_weights,
     normalize_returns,
     plan,
     plan_with_oracle,
-    rollout_return,
     weighted_average,
 )
 from segnce.training import TrainConfig, train
@@ -73,6 +73,10 @@ class TestNormalizeAndWeights:
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
+def rollout_return(ckpt, world, state, actions, instruction, gamma=1.0):
+    return float(embedding_returns(ckpt, world, state, instruction, actions[None], gamma)[0])
+
+
 class TestRolloutReturn:
     def test_static_world_zero_return(self, tiny_ckpt, world):
         state = world.sample_start(0, np.random.default_rng(0))
@@ -99,21 +103,6 @@ class TestRolloutReturn:
         sT = cosine_similarity(embed_frames(tiny_ckpt, obsT[None])[0], psi)
         assert ret == pytest.approx(sT - s0, abs=1e-12)
 
-    def test_score_rollouts_consistent_with_rollout_return(self, tiny_ckpt, world):
-        from segnce.planning import score_rollouts
-
-        rng = np.random.default_rng(11)
-        ins = world.instructions()[1]
-        state = world.sample_start(1, rng)
-        proposals = rng.uniform(-1, 1, size=(6, 8, world.config.d_act))
-        scores = score_rollouts(tiny_ckpt, world, state, proposals, ins)
-        assert len(scores) == 6
-        for score in scores:
-            single = rollout_return(tiny_ckpt, world, state, score.actions, ins)
-            assert score.raw_return == pytest.approx(single, abs=1e-12)
-        normed = np.array([s.normalized_return for s in scores])
-        assert abs(normed.mean()) <= 1e-10
-
     def test_expert_beats_reversed_expert(self, tiny_ckpt, world):
         demo = world.generate_demos(1, seed=5)[0]
         task = world.task_for_instruction(demo.instruction)
@@ -121,6 +110,20 @@ class TestRolloutReturn:
         fwd = rollout_return(tiny_ckpt, world, state, demo.actions, demo.instruction)
         rev = rollout_return(tiny_ckpt, world, state, -demo.actions, demo.instruction)
         assert rev <= fwd
+
+    def test_batch_returns_match_single_rollouts(self, tiny_ckpt, world):
+        rng = np.random.default_rng(11)
+        ins = world.instructions()[1]
+        state = world.sample_start(1, rng)
+        proposals = rng.uniform(-1, 1, size=(6, 8, world.config.d_act))
+        batch = embedding_returns(tiny_ckpt, world, state, ins, proposals, gamma=0.9)
+        for actions, value in zip(proposals, batch):
+            assert value == pytest.approx(rollout_return(tiny_ckpt, world, state, actions, ins, 0.9), abs=1e-12)
+
+    def test_proposal_shape_validated(self, tiny_ckpt, world):
+        state = world.sample_start(0, np.random.default_rng(0))
+        with pytest.raises(ShapeMismatchError):
+            embedding_returns(tiny_ckpt, world, state, world.instructions()[0], np.zeros((10, 2)))
 
 
 class TestPlan:

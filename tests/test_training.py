@@ -177,3 +177,36 @@ class TestCheckpointIo:
         assert meta == {"kind": "test", "note": 1}
         np.testing.assert_array_equal(loaded["a"], arrays["a"])
         np.testing.assert_array_equal(loaded["b"], arrays["b"])
+
+
+def _write_raw_archive(path, header: dict) -> None:
+    import json
+    import struct
+
+    from segnce.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + struct.pack("<Q", len(blob)) + blob)
+
+
+@pytest.mark.parametrize(
+    "defect",
+    ["no-arrays", "no-meta", "encoder_config", "objective", "train_config", "iteration", "vision/w0"],
+)
+def test_malformed_checkpoint_rejected(tmp_path, small_dataset, defect):
+    path = tmp_path / "bad.ckpt"
+    if defect in ("no-arrays", "no-meta"):
+        header = {"meta": {"kind": "encoder-checkpoint"}, "arrays": []}
+        del header[defect[3:]]
+        _write_raw_archive(path, header)
+    else:
+        save_checkpoint(train(small_config(iterations=2), small_dataset), path)
+        meta, arrays = read_array_archive(path)
+        if defect in arrays:
+            del arrays[defect]
+        else:
+            del meta[defect]
+        write_array_archive(path, meta, arrays)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+

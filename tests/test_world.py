@@ -223,3 +223,19 @@ class TestSerialization:
             fh.write('{"oops": 1}\n')
         with pytest.raises(DatasetFormatError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("field", ["observations", "actions", "progression", "instruction"])
+    def test_bad_record_values_rejected(self, tmp_path, world, field):
+        import json
+
+        path = tmp_path / "bad3.jsonl"
+        save_dataset(path, world.config, world.generate(2, seed=21))
+        header, first, second = path.read_text().splitlines()
+        record = json.loads(second)
+        if field == "instruction":
+            record[field] = [7, 3]  # no task of this world
+        else:
+            record[field][1] = float("nan")
+        path.write_text("\n".join([header, first, json.dumps(record)]) + "\n")
+        with pytest.raises(DatasetFormatError, match="line 3"):
+            load_dataset(path)
