@@ -50,25 +50,40 @@ def _write_manifest(subcommand: str, config: dict, inputs: list, outputs: list) 
     return path
 
 
+def _check_config(config, defaults: dict, source) -> dict:
+    """A config is a JSON object of known keys, each value of its default's
+    type: int for an int, int or float for a float, str where the default is
+    None (or null for the optional keys)."""
+    if not isinstance(config, dict):
+        raise EmptyInputError(f"config in {source} is not a JSON object: {config!r}")
+    for key, value in config.items():
+        if key not in defaults:
+            raise EmptyInputError(f"unknown config key {key!r} in {source}")
+        default = defaults[key]
+        if default is None:
+            types = (str, type(None)) if key in ("instruction", "policy_out") else str
+        else:
+            types = (int, float) if isinstance(default, float) else type(default)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise EmptyInputError(f"config key {key!r} in {source} has a value of the wrong type: {value!r}")
+    return config
+
+
 def _resolve(defaults: dict, config_file: str | None, flags: dict) -> dict:
     """defaults < config file < explicitly set flags."""
     resolved = dict(defaults)
     if config_file:
         try:
             loaded = json.loads(Path(config_file).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise EmptyInputError(f"unreadable config file {config_file}: {exc}") from exc
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise EmptyInputError(f"unknown config keys in {config_file}: {sorted(unknown)}")
-        resolved.update(loaded)
+        resolved.update(_check_config(loaded, defaults, config_file))
     resolved.update({k: v for k, v in flags.items() if v is not None})
     return resolved
 
 
-def _world_from_cfg(cfg: dict) -> tuple[WorldConfig, dict]:
-    keys = ("task_pairs", "d_obs", "noise", "h_min", "h_max", "d_act", "world_seed")
-    wc = WorldConfig(
+def _world_from_cfg(cfg: dict) -> WorldConfig:
+    return WorldConfig(
         task_pairs=cfg["task_pairs"],
         d_obs=cfg["d_obs"],
         noise=cfg["noise"],
@@ -77,7 +92,6 @@ def _world_from_cfg(cfg: dict) -> tuple[WorldConfig, dict]:
         d_act=cfg["d_act"],
         seed=cfg["world_seed"],
     )
-    return wc, {k: cfg[k] for k in keys}
 
 
 WORLD_DEFAULTS = {
@@ -97,7 +111,7 @@ WORLD_DEFAULTS = {
 def _run_gen_world(cfg: dict) -> tuple[list, list]:
     if cfg["count"] < 1:
         raise EmptyInputError(f"count must be >= 1, got {cfg['count']}")
-    wc, _ = _world_from_cfg(cfg)
+    wc = _world_from_cfg(cfg)
     trajectories = generate_dataset(wc, cfg["count"], seed=cfg["seed"])
     out = Path(cfg["out"])
     save_dataset(out, wc, trajectories)
@@ -227,7 +241,7 @@ def _run_first_image_stats(cfg: dict) -> tuple[list, list]:
 
 def _run_plan(cfg: dict) -> tuple[list, list]:
     ckpt = load_checkpoint(cfg["ckpt"])
-    wc, _ = _world_from_cfg(cfg)
+    wc = _world_from_cfg(cfg)
     world = World(wc)
     instructions = (
         [world.parse_instruction(cfg["instruction"])] if cfg["instruction"] else world.instructions()
@@ -295,8 +309,21 @@ def replay_manifest(manifest_path, out_map: dict | None = None) -> Path:
     Every input the manifest records is re-hashed first; if one has changed
     since the run, nothing is executed and no output is touched.
     """
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    for path, digest in manifest["inputs"].items():
+    try:
+        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SegnceError(f"unreadable manifest {manifest_path}: {exc}") from exc
+    subcommand = manifest.get("subcommand") if isinstance(manifest, dict) else None
+    if not isinstance(subcommand, str) or subcommand not in _RUNNERS:
+        raise SegnceError(f"manifest {manifest_path} names no known subcommand")
+    defaults = _DEFAULTS[subcommand]
+    missing = set(defaults) - set(_check_config(manifest.get("config"), defaults, manifest_path))
+    if missing:
+        raise SegnceError(f"config in manifest {manifest_path} lacks keys {sorted(missing)}")
+    inputs = manifest.get("inputs")
+    if not isinstance(inputs, dict) or not all(isinstance(d, str) for d in inputs.values()):
+        raise SegnceError(f"inputs in manifest {manifest_path} are not a path -> sha256 object")
+    for path, digest in inputs.items():
         if _sha256(Path(path)) != digest:
             raise SegnceError(f"replay input {path} does not match the sha256 its manifest records")
     cfg = dict(manifest["config"])
@@ -304,7 +331,7 @@ def replay_manifest(manifest_path, out_map: dict | None = None) -> Path:
         for key, value in list(cfg.items()):
             if isinstance(value, str) and value in out_map:
                 cfg[key] = str(out_map[value])
-    return run_resolved(manifest["subcommand"], cfg)
+    return run_resolved(subcommand, cfg)
 
 
 # ---- argument parsing -----------------------------------------------------------------
@@ -433,7 +460,7 @@ _DEFAULTS = {
         "ckpt_interval": 0,
         "seed": 0,
     },
-    "sampling-stats": {"h": None, "samples": 1_000_000, "seed": 0, "out": None},
+    "sampling-stats": {"h": 0, "samples": 1_000_000, "seed": 0, "out": None},  # --h is required
     "reward-curve": {"ckpt": None, "data": None, "traj_index": 0, "instruction": None, "out": None, "seed": 0},
     "heatmap": {"ckpt": None, "data": None, "lengths": "2,5,10,full", "out": None, "seed": 0},
     "first-image-stats": {"ckpt": None, "data": None, "out": None, "seed": 0},
@@ -481,16 +508,10 @@ def main(argv=None) -> int:
         defaults = _DEFAULTS[args.subcommand]
         flags = {k: getattr(args, k) for k in defaults if hasattr(args, k)}
         cfg = _resolve(defaults, args.config, flags)
-        missing = [k for k, v in cfg.items() if v is None and k not in ("instruction", "policy_out")]
-        if missing:
-            parser.error(f"missing required options: {missing}")
         manifest = run_resolved(args.subcommand, cfg)
         log.info("manifest: %s", manifest)
         return 0
-    except SegnceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SegnceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -184,9 +184,7 @@ def save_policy(policy: PolicyParams, path) -> None:
 
 
 def load_policy(path) -> PolicyParams:
-    meta, arrays = read_array_archive(path)
-    if meta.get("kind") != "policy-checkpoint":
-        raise CheckpointFormatError(f"not a policy checkpoint: kind={meta.get('kind')!r}")
+    meta, arrays = read_array_archive(path, "policy-checkpoint")
     try:
         widths = [int(w) for w in meta["widths"]]
         weights = [Tensor(arrays[f"policy/w{i}"].copy()) for i in range(len(widths) - 1)]
@@ -198,7 +196,7 @@ def load_policy(path) -> PolicyParams:
             config=BcConfig(**cfg),
             loss_history=arrays["loss_history"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointFormatError(f"malformed policy checkpoint {path}: missing or invalid {exc}") from exc
 
 

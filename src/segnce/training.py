@@ -5,14 +5,16 @@ instruction labels, evaluates the configured contrastive loss, and updates
 both encoders jointly. The loop is fully determined by (seed, config,
 dataset); the loss and global gradient norm are recorded every iteration.
 
-Checkpoints are a small binary container: magic, format version, a JSON
-header with configuration and array shapes, then raw little-endian float64
-buffers. Round trips are bit-exact.
+Checkpoints, policies and datasets share one small binary container: magic,
+format version, a JSON header with a ``kind``, metadata and array shapes,
+then raw little-endian float64 buffers. Round trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -235,19 +237,18 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
 # ---- checkpoint container -----------------------------------------------------------
 
 
-def _config_to_json(config: TrainConfig) -> dict:
-    d = asdict(config)
-    return d
+def _encoder_config_from_json(d: dict) -> EncoderConfig:
+    enc = dict(d)
+    enc["vision_hidden"] = tuple(enc["vision_hidden"])
+    enc["projection_hidden"] = tuple(enc["projection_hidden"])
+    return EncoderConfig(**enc)
 
 
 def _config_from_json(d: dict) -> TrainConfig:
     d = dict(d)
     d["objective"] = ObjectiveSpec(**d["objective"])
     if d.get("encoder") is not None:
-        enc = dict(d["encoder"])
-        enc["vision_hidden"] = tuple(enc["vision_hidden"])
-        enc["projection_hidden"] = tuple(enc["projection_hidden"])
-        d["encoder"] = EncoderConfig(**enc)
+        d["encoder"] = _encoder_config_from_json(d["encoder"])
     return TrainConfig(**d)
 
 
@@ -265,46 +266,48 @@ def write_array_archive(path, meta: dict, arrays: dict[str, np.ndarray]) -> None
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for n in names:
-            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8"))
 
 
-def read_array_archive(path) -> tuple[dict, dict[str, np.ndarray]]:
-    data = Path(path).read_bytes()
-    if len(data) < len(CHECKPOINT_MAGIC) + 12:
-        raise CheckpointFormatError(f"file too short to be a checkpoint: {path}")
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"bad magic string in {path}")
-    off = len(CHECKPOINT_MAGIC)
-    (version,) = struct.unpack_from("<I", data, off)
-    off += 4
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    if off + header_len > len(data):
-        raise CheckpointFormatError(f"truncated checkpoint header in {path}")
-    try:
-        header = json.loads(data[off : off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"unreadable checkpoint header: {exc}") from exc
-    off += header_len
-    try:
-        meta = dict(header["meta"])
-        specs = [(str(spec["name"]), tuple(int(s) for s in spec["shape"])) for spec in header["arrays"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"malformed checkpoint header in {path}: {exc!r}") from exc
-    arrays = {}
-    for name, shape in specs:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if off + nbytes > len(data):
-            raise CheckpointFormatError(f"truncated array {name!r} in {path}")
-        arrays[name] = (
-            np.frombuffer(data[off : off + nbytes], dtype="<f8").astype(np.float64).reshape(shape)
-        )
-        off += nbytes
-    if off != len(data):
-        raise CheckpointFormatError(f"{len(data) - off} trailing bytes in {path}")
+def read_array_archive(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read an archive whose ``meta["kind"]`` must equal ``kind``; each array
+    is read from the file straight into its own buffer."""
+    with Path(path).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(CHECKPOINT_MAGIC) + 12)  # magic, version, header length
+        if len(prefix) < len(CHECKPOINT_MAGIC) + 12 or prefix[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(f"bad magic string or short file {path}")
+        version, header_len = struct.unpack_from("<IQ", prefix, len(CHECKPOINT_MAGIC))
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+        if len(prefix) + header_len > size:
+            raise CheckpointFormatError(f"truncated checkpoint header in {path}")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointFormatError(f"unreadable checkpoint header: {exc}") from exc
+        try:
+            meta = dict(header["meta"])
+            specs = [(str(spec["name"]), tuple(int(s) for s in spec["shape"])) for spec in header["arrays"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointFormatError(f"malformed checkpoint header in {path}: {exc!r}") from exc
+        if meta.get("kind") != kind:
+            raise CheckpointFormatError(f"{path} is not a {kind} archive: kind={meta.get('kind')!r}")
+        arrays = {}
+        for name, shape in specs:
+            nbytes = math.prod(shape) * 8
+            # the size check comes first so that a forged shape allocates nothing
+            if min(shape, default=0) < 0 or fh.tell() + nbytes > size:
+                raise CheckpointFormatError(f"truncated array {name!r} of shape {shape} in {path}")
+            values = np.empty(nbytes // 8, dtype="<f8")
+            if fh.readinto(values) != nbytes:
+                raise CheckpointFormatError(f"truncated array {name!r} of shape {shape} in {path}")
+            try:
+                arrays[name] = values.astype(np.float64, copy=False).reshape(shape)
+            except ValueError as exc:  # numpy refuses the shape, e.g. too many dimensions
+                raise CheckpointFormatError(f"array {name!r} of shape {shape} in {path}: {exc}") from exc
+        if fh.tell() != size:
+            raise CheckpointFormatError(f"{size - fh.tell()} trailing bytes in {path}")
     return meta, arrays
 
 
@@ -352,7 +355,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     meta = {
         "kind": "encoder-checkpoint",
         "objective": asdict(ckpt.objective),
-        "train_config": _config_to_json(ckpt.config),
+        "train_config": asdict(ckpt.config),
         "encoder_config": asdict(enc_config),
         "iteration": ckpt.iteration,
     }
@@ -362,20 +365,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    meta, arrays = read_array_archive(path)
-    if meta.get("kind") != "encoder-checkpoint":
-        raise CheckpointFormatError(f"not an encoder checkpoint: kind={meta.get('kind')!r}")
+    meta, arrays = read_array_archive(path, "encoder-checkpoint")
     try:
-        enc = dict(meta["encoder_config"])
-        enc["vision_hidden"] = tuple(enc["vision_hidden"])
-        enc["projection_hidden"] = tuple(enc["projection_hidden"])
-        enc_config = EncoderConfig(**enc)
         return Checkpoint(
-            encoders=_encoders_from_arrays(enc_config, arrays),
+            encoders=_encoders_from_arrays(_encoder_config_from_json(meta["encoder_config"]), arrays),
             objective=ObjectiveSpec(**meta["objective"]),
             config=_config_from_json(meta["train_config"]),
             iteration=int(meta["iteration"]),
             history=arrays["history"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointFormatError(f"malformed encoder checkpoint {path}: missing or invalid {exc}") from exc

@@ -16,10 +16,8 @@ generated trajectory a replayable demonstration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -27,6 +25,7 @@ import numpy as np
 from .encoders import Instruction
 from .errors import DatasetFormatError, EmptyInputError, VocabularyError
 from .sampling import Trajectory
+from .training import read_array_archive, write_array_archive
 
 # Step gain: one fully aligned unit action advances z by this much.
 STEP_GAIN = 0.05
@@ -50,9 +49,6 @@ SUCCESS_THRESHOLD = 0.9
 
 VERB_NAMES = ("open", "close", "push", "pull", "lift", "lower", "turn-on", "turn-off")
 OBJECT_NAMES = ("door", "drawer", "box", "lamp")
-
-DATASET_FORMAT = "segnce-dataset"
-DATASET_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -307,73 +303,58 @@ def generate_dataset(config: WorldConfig, n_trajectories: int, seed: Optional[in
 
 
 def save_dataset(path, config: WorldConfig, trajectories: list[Trajectory]) -> None:
-    """Line-delimited records, one trajectory per line, bit-exact round trip.
+    """One array archive of kind ``dataset`` (the container of
+    :func:`training.write_array_archive`), bit-exact round trip.
 
-    Floats are emitted with Python's shortest round-trip repr, so loading
-    reproduces the exact float64 values.
+    Per-trajectory lengths and (verb, object) ids sit beside the
+    observations, actions and progression of all trajectories stacked
+    row-wise in trajectory order.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {
-            "format": DATASET_FORMAT,
-            "version": DATASET_VERSION,
-            "config": asdict(config),
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for traj in trajectories:
-            record = {
-                "instruction": [traj.instruction.verb, traj.instruction.obj],
-                "h": traj.h,
-                "observations": traj.observations.reshape(-1).tolist(),
-                "actions": None if traj.actions is None else traj.actions.reshape(-1).tolist(),
-                "progression": None if traj.progression is None else traj.progression.tolist(),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_array_archive(
+        path,
+        {"kind": "dataset", "config": asdict(config)},
+        {
+            "lengths": np.array([t.h for t in trajectories], dtype=np.float64),
+            "instructions": np.array([[t.instruction.verb, t.instruction.obj] for t in trajectories], dtype=np.float64),
+            "observations": np.concatenate([t.observations for t in trajectories]),
+            "actions": np.concatenate([t.actions for t in trajectories]),
+            "progression": np.concatenate([t.progression for t in trajectories]),
+        },
+    )
 
 
 def load_dataset(path) -> tuple[WorldConfig, list[Trajectory]]:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"unreadable dataset header: {exc}") from exc
-        if header.get("format") != DATASET_FORMAT:
-            raise DatasetFormatError(f"not a {DATASET_FORMAT} file: {path}")
-        if header.get("version") != DATASET_VERSION:
-            raise DatasetFormatError(f"unsupported dataset version {header.get('version')}")
-        config = WorldConfig(**header["config"])
+    names = ("lengths", "instructions", "observations", "actions", "progression")
+    try:
+        meta, arrays = read_array_archive(path, "dataset")
+        config = WorldConfig(**meta["config"])
+        for name in names:
+            # min and max propagate NaN and expose infinities without the
+            # full-size temporary of np.isfinite
+            if not (math.isfinite(arrays[name].min()) and math.isfinite(arrays[name].max())):
+                raise ValueError(f"non-finite {name}")
+        lengths, ids = arrays["lengths"], arrays["instructions"]
+        if lengths.ndim != 1 or not np.all((lengths >= 2) & (lengths <= len(arrays["observations"]))):
+            raise ValueError("trajectory lengths must lie in [2, observation rows]")
+        h = lengths.astype(np.int64)
+        n, frames = len(h), int(h.sum())
+        shapes = (n, 2), (frames, config.d_obs), (frames - n, config.d_act), (frames,)
+        for name, shape in zip(names[1:], shapes):
+            if arrays[name].shape != shape:
+                raise ValueError(f"{name} has shape {arrays[name].shape}, lengths and config give {shape}")
+        instructions = [Instruction(int(verb), int(obj)) for verb, obj in ids]
+        if not (np.array_equal(h, lengths) and np.array_equal(ids, [[i.verb, i.obj] for i in instructions])):
+            raise ValueError("lengths and instruction ids must be integers")
         world = World(config)
-        trajectories = []
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                h = rec["h"]
-                obs = np.array(rec["observations"], dtype=np.float64).reshape(h, config.d_obs)
-                actions = rec.get("actions")
-                progression = rec.get("progression")
-                traj = Trajectory(
-                    observations=obs,
-                    instruction=Instruction(*rec["instruction"]),
-                    actions=None
-                    if actions is None
-                    else np.array(actions, dtype=np.float64).reshape(h - 1, config.d_act),
-                    progression=None
-                    if progression is None
-                    else np.array(progression, dtype=np.float64),
-                )
-                world.task_for_instruction(traj.instruction)
-                for name in ("observations", "actions", "progression"):
-                    values = getattr(traj, name)
-                    # min and max propagate NaN and expose infinities without the
-                    # per-record temporary of np.isfinite, which fragments the heap
-                    if values is not None and not (math.isfinite(values.min()) and math.isfinite(values.max())):
-                        raise ValueError(f"non-finite {name}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetFormatError(f"bad record at line {line_no}: {exc}") from exc
-            trajectories.append(traj)
+        for instruction in set(instructions):
+            world.task_for_instruction(instruction)
+        pieces = zip(
+            np.split(arrays["observations"], np.cumsum(h)[:-1]),
+            instructions,
+            np.split(arrays["actions"], np.cumsum(h - 1)[:-1]),
+            np.split(arrays["progression"], np.cumsum(h)[:-1]),
+        )
+        trajectories = [Trajectory(*piece) for piece in pieces]
+    except (KeyError, TypeError, ValueError) as exc:  # CheckpointFormatError is a ValueError
+        raise DatasetFormatError(f"bad dataset {path}: {exc}") from exc
     return config, trajectories
-
-

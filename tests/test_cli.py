@@ -20,7 +20,7 @@ def workdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def dataset_path(workdir):
-    path = workdir / "data.jsonl"
+    path = workdir / "data.bin"
     assert run_cli(["gen-world", "--out", str(path), "--count", "30", "--h-min", "10", "--h-max", "16"]) == 0
     return path
 
@@ -41,22 +41,23 @@ def ckpt_path(workdir, dataset_path):
 class TestGenWorld:
     def test_writes_dataset_and_manifest(self, dataset_path):
         assert dataset_path.exists()
-        manifest = json.loads((dataset_path.parent / "data.jsonl.manifest.json").read_text())
+        manifest = json.loads((dataset_path.parent / "data.bin.manifest.json").read_text())
         assert manifest["subcommand"] == "gen-world"
         assert manifest["config"]["count"] == 30
 
     def test_same_seed_byte_identical(self, workdir):
-        a, b = workdir / "a.jsonl", workdir / "b.jsonl"
+        a, b = workdir / "a.bin", workdir / "b.bin"
         for p in (a, b):
             assert run_cli(["gen-world", "--out", str(p), "--count", "5", "--seed", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_count_zero_errors(self, workdir):
-        assert run_cli(["gen-world", "--out", str(workdir / "x.jsonl"), "--count", "0"]) != 0
+        assert run_cli(["gen-world", "--out", str(workdir / "x.bin"), "--count", "0"]) != 0
 
     def test_record_count(self, dataset_path):
-        lines = dataset_path.read_text().strip().splitlines()
-        assert len(lines) == 31  # header plus one record per trajectory
+        from segnce.world import load_dataset
+
+        assert len(load_dataset(dataset_path)[1]) == 30
 
     def test_default_count_is_200(self):
         from segnce.cli import _DEFAULTS
@@ -187,22 +188,22 @@ class TestConfigResolution:
     def test_config_file_overridden_by_flags(self, workdir):
         cfg = workdir / "cfg.json"
         cfg.write_text(json.dumps({"count": 3, "seed": 5}))
-        out = workdir / "cfgd.jsonl"
+        out = workdir / "cfgd.bin"
         assert run_cli(["gen-world", "--config", str(cfg), "--out", str(out), "--count", "4"]) == 0
-        manifest = json.loads((workdir / "cfgd.jsonl.manifest.json").read_text())
+        manifest = json.loads((workdir / "cfgd.bin.manifest.json").read_text())
         assert manifest["config"]["count"] == 4  # flag wins
         assert manifest["config"]["seed"] == 5  # file beats default
 
     def test_unknown_config_key_rejected(self, workdir):
         cfg = workdir / "bad.json"
         cfg.write_text(json.dumps({"не": 1}))
-        assert run_cli(["gen-world", "--config", str(cfg), "--out", str(workdir / "n.jsonl")]) != 0
+        assert run_cli(["gen-world", "--config", str(cfg), "--out", str(workdir / "n.bin")]) != 0
 
 
 class TestReplay:
     def test_gen_world_replay_byte_identical(self, workdir, dataset_path):
-        manifest_path = dataset_path.parent / "data.jsonl.manifest.json"
-        moved = workdir / "replayed.jsonl"
+        manifest_path = dataset_path.parent / "data.bin.manifest.json"
+        moved = workdir / "replayed.bin"
         replay_manifest(manifest_path, out_map={str(dataset_path): moved})
         assert moved.read_bytes() == dataset_path.read_bytes()
 
@@ -213,17 +214,17 @@ class TestReplay:
         assert moved.read_bytes() == ckpt_path.read_bytes()
 
     def test_replay_subcommand_exit_code(self, workdir, dataset_path):
-        manifest_path = dataset_path.parent / "data.jsonl.manifest.json"
+        manifest_path = dataset_path.parent / "data.bin.manifest.json"
         assert run_cli(["replay", "--manifest", str(manifest_path)]) == 0
 
     def test_replay_refuses_changed_input(self, workdir):
-        data, ckpt = workdir / "swap.jsonl", workdir / "swap.ckpt"
+        data, ckpt = workdir / "swap.bin", workdir / "swap.ckpt"
         assert run_cli(["gen-world", "--out", str(data), "--count", "10", "--seed", "1"]) == 0
         assert run_cli(["train", "--data", str(data), "--out", str(ckpt), "--iterations", "3", "--batch-size", "4"]) == 0
         before = ckpt.read_bytes()
         assert run_cli(["gen-world", "--out", str(data), "--count", "10", "--seed", "2"]) == 0
         manifest = workdir / "swap.ckpt.manifest.json"
-        with pytest.raises(SegnceError, match="swap.jsonl"):
+        with pytest.raises(SegnceError, match="swap.bin"):
             replay_manifest(manifest)
         assert run_cli(["replay", "--manifest", str(manifest)]) == 1
         assert ckpt.read_bytes() == before
@@ -232,10 +233,77 @@ class TestReplay:
 def test_malformed_checkpoint_exits_one(workdir, dataset_path, ckpt_path):
     from segnce.training import read_array_archive, write_array_archive
 
-    meta, arrays = read_array_archive(ckpt_path)
+    meta, arrays = read_array_archive(ckpt_path, "encoder-checkpoint")
     del arrays["vision/w0"]
     bad = workdir / "bad.ckpt"
     write_array_archive(bad, meta, arrays)
     args = ["heatmap", "--ckpt", str(bad), "--data", str(dataset_path), "--out", str(workdir / "bad.csv")]
     assert run_cli(args) == 1
 
+
+
+def _config_file(content):
+    def make(tmp, dataset_path, ckpt_path):
+        cfg = tmp / "cfg.json"
+        cfg.write_text(content)
+        return ["gen-world", "--config", str(cfg), "--out", str(tmp / "g.bin")]
+    return make
+
+
+def _manifest(edit):
+    def make(tmp, dataset_path, ckpt_path):
+        manifest = json.loads((dataset_path.parent / "data.bin.manifest.json").read_text())
+        manifest["config"]["out"] = str(tmp / "replayed.bin")
+        path = tmp / "edited.manifest.json"
+        path.write_text(edit(manifest))
+        return ["replay", "--manifest", str(path)]
+    return make
+
+
+def _heatmap_data(write):
+    def make(tmp, dataset_path, ckpt_path):
+        data = write(tmp, dataset_path, ckpt_path)
+        return ["heatmap", "--ckpt", str(ckpt_path), "--data", str(data), "--out", str(tmp / "h.csv")]
+    return make
+
+
+def _binary_file(tmp, dataset_path, ckpt_path):
+    path = tmp / "binary.bin"
+    path.write_bytes(bytes(range(256)) * 4)
+    return path
+
+
+def _unknown_world_key(tmp, dataset_path, ckpt_path):
+    from segnce.training import read_array_archive, write_array_archive
+
+    meta, arrays = read_array_archive(dataset_path, "dataset")
+    meta["config"]["bogus"] = 1
+    path = tmp / "unknown-key.bin"
+    write_array_archive(path, meta, arrays)
+    return path
+
+
+MALFORMED_INPUTS = {
+    "config-not-object": _config_file("5"),
+    "config-str-count": _config_file('{"count": "5"}'),
+    "config-float-count": _config_file('{"count": 2.5}'),
+    "manifest-not-json": _manifest(lambda m: "{"),
+    "manifest-list": _manifest(lambda m: json.dumps([m])),
+    "manifest-no-config": _manifest(lambda m: json.dumps({k: v for k, v in m.items() if k != "config"})),
+    "manifest-unknown-subcommand": _manifest(lambda m: json.dumps({**m, "subcommand": "bogus"})),
+    "manifest-missing-key": _manifest(
+        lambda m: json.dumps({**m, "config": {k: v for k, v in m["config"].items() if k != "count"}})
+    ),
+    "manifest-bad-value": _manifest(lambda m: json.dumps({**m, "config": {**m["config"], "count": "5"}})),
+    "manifest-bad-inputs": _manifest(lambda m: json.dumps({**m, "inputs": ["x"]})),
+    "data-binary": _heatmap_data(_binary_file),
+    "data-checkpoint": _heatmap_data(lambda tmp, data, ckpt: ckpt),
+    "data-unknown-world-key": _heatmap_data(_unknown_world_key),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_one(tmp_path, dataset_path, ckpt_path, case, capsys):
+    args = MALFORMED_INPUTS[case](tmp_path, dataset_path, ckpt_path)
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -130,7 +130,7 @@ def test_policy_round_trip(tmp_path, tiny_ckpt, demos):
     np.testing.assert_array_equal(policy.loss_history, loaded.loss_history)
 
 
-@pytest.mark.parametrize("defect", ["encoder-checkpoint", "widths", "policy/w0"])
+@pytest.mark.parametrize("defect", ["encoder-checkpoint", "widths", "policy/w0", "widths=x", "config=x"])
 def test_malformed_policy_rejected(tmp_path, tiny_ckpt, demos, defect):
     from segnce.training import read_array_archive
 
@@ -139,11 +139,14 @@ def test_malformed_policy_rejected(tmp_path, tiny_ckpt, demos, defect):
         save_checkpoint(tiny_ckpt, path)
     else:
         save_policy(train_bc(tiny_ckpt, demos, BcConfig(steps=2, seed=0)), path)
-        meta, arrays = read_array_archive(path)
-        if defect in arrays:
-            del arrays[defect]
+        meta, arrays = read_array_archive(path, "policy-checkpoint")
+        key, _, value = defect.partition("=")
+        if key in arrays:
+            del arrays[key]
+        elif value:
+            meta[key] = value
         else:
-            del meta[defect]
+            del meta[key]
         write_array_archive(path, meta, arrays)
     with pytest.raises(CheckpointFormatError):
         load_policy(path)

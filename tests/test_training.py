@@ -173,10 +173,12 @@ class TestCheckpointIo:
         arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.array(3.5)}
         path = tmp_path / "x.bin"
         write_array_archive(path, {"kind": "test", "note": 1}, arrays)
-        meta, loaded = read_array_archive(path)
+        meta, loaded = read_array_archive(path, "test")
         assert meta == {"kind": "test", "note": 1}
         np.testing.assert_array_equal(loaded["a"], arrays["a"])
         np.testing.assert_array_equal(loaded["b"], arrays["b"])
+        with pytest.raises(CheckpointFormatError, match="kind='test'"):
+            read_array_archive(path, "dataset")
 
 
 def _write_raw_archive(path, header: dict) -> None:
@@ -191,7 +193,8 @@ def _write_raw_archive(path, header: dict) -> None:
 
 @pytest.mark.parametrize(
     "defect",
-    ["no-arrays", "no-meta", "encoder_config", "objective", "train_config", "iteration", "vision/w0"],
+    ["no-arrays", "no-meta", "encoder_config", "objective", "train_config", "iteration", "vision/w0",
+     "encoder_config=x", "iteration=x"],
 )
 def test_malformed_checkpoint_rejected(tmp_path, small_dataset, defect):
     path = tmp_path / "bad.ckpt"
@@ -201,11 +204,14 @@ def test_malformed_checkpoint_rejected(tmp_path, small_dataset, defect):
         _write_raw_archive(path, header)
     else:
         save_checkpoint(train(small_config(iterations=2), small_dataset), path)
-        meta, arrays = read_array_archive(path)
-        if defect in arrays:
-            del arrays[defect]
+        meta, arrays = read_array_archive(path, "encoder-checkpoint")
+        key, _, value = defect.partition("=")
+        if key in arrays:
+            del arrays[key]
+        elif value:
+            meta[key] = value
         else:
-            del meta[defect]
+            del meta[key]
         write_array_archive(path, meta, arrays)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)

@@ -16,6 +16,7 @@ from segnce.world import (
     load_dataset,
     save_dataset,
 )
+from segnce.training import read_array_archive, write_array_archive
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +193,7 @@ class TestWorldStatistics:
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path, world):
         trajs = world.generate(10, seed=18)
-        path = tmp_path / "data.jsonl"
+        path = tmp_path / "data.bin"
         save_dataset(path, world.config, trajs)
         config, loaded = load_dataset(path)
         assert config == world.config
@@ -205,37 +206,45 @@ class TestSerialization:
 
     def test_save_deterministic_bytes(self, tmp_path, world):
         trajs = world.generate(3, seed=19)
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_dataset(p1, world.config, trajs)
         save_dataset(p2, world.config, trajs)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_header_raises(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
+        path = tmp_path / "bad.bin"
         path.write_text('{"format": "something-else", "version": 1, "config": {}}\n')
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(DatasetFormatError, match="bad.bin"):
             load_dataset(path)
 
     def test_bad_record_raises(self, tmp_path, world):
-        path = tmp_path / "bad2.jsonl"
+        path = tmp_path / "bad2.bin"
         save_dataset(path, world.config, world.generate(1, seed=20))
-        with path.open("a") as fh:
-            fh.write('{"oops": 1}\n')
-        with pytest.raises(DatasetFormatError):
+        with path.open("ab") as fh:
+            fh.write(b'{"oops": 1}\n')
+        with pytest.raises(DatasetFormatError, match="trailing bytes"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("field", ["observations", "actions", "progression", "instruction"])
+    @pytest.mark.parametrize(
+        "field", ["observations", "actions", "progression", "instruction", "lengths", "config"]
+    )
     def test_bad_record_values_rejected(self, tmp_path, world, field):
-        import json
-
-        path = tmp_path / "bad3.jsonl"
+        path = tmp_path / "bad3.bin"
         save_dataset(path, world.config, world.generate(2, seed=21))
-        header, first, second = path.read_text().splitlines()
-        record = json.loads(second)
+        meta, arrays = read_array_archive(path, "dataset")
         if field == "instruction":
-            record[field] = [7, 3]  # no task of this world
+            arrays["instructions"][1] = [7, 3]  # no task of this world
+        elif field == "lengths":
+            arrays["lengths"][0] += 1  # lengths no longer sum to the observation rows
+        elif field == "config":
+            meta["config"]["bogus"] = 1
         else:
-            record[field][1] = float("nan")
-        path.write_text("\n".join([header, first, json.dumps(record)]) + "\n")
-        with pytest.raises(DatasetFormatError, match="line 3"):
+            arrays[field][1] = float("nan")
+        write_array_archive(path, meta, arrays)
+        match = {
+            "instruction": "does not name a task",
+            "lengths": "observations has shape",
+            "config": "unexpected keyword argument 'bogus'",
+        }.get(field, f"non-finite {field}")
+        with pytest.raises(DatasetFormatError, match=match):
             load_dataset(path)
