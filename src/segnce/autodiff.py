@@ -7,6 +7,14 @@ an epsilon-stabilized cosine similarity. Graphs are built eagerly by calling
 operations on :class:`Tensor` values and differentiated with
 :meth:`Tensor.backward`.
 
+Only what must be differentiated is: a ``Tensor`` with ``requires_grad``
+false (a lifted constant, an observation or feature matrix fed to a model)
+never receives a gradient, and a node none of whose parents requires one
+records no parents and no backward closure. A backward closure receives its
+output node as an argument and never captures it, so a graph holds no
+reference cycle and is freed by reference counting as soon as its root is
+released.
+
 Plain ``numpy`` arrays flow through the same public helpers
 (``cosine_similarity``, ``logsumexp``, ``mlp_apply``) without building a
 graph, which is how frozen encoders are evaluated cheaply downstream.
@@ -48,221 +56,180 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A node in the compute graph: a float64 array plus accumulated gradient.
 
-    Leaf tensors (no parents) are parameters; interior nodes cache the
-    forward value and know how to push gradients to their parents.
+    Leaf tensors (no parents) are parameters unless built with
+    ``requires_grad=False``; interior nodes cache the forward value and, when
+    some parent requires a gradient, know how to push gradients to their
+    parents. ``grad`` is ``None`` until :meth:`backward` adds a first
+    contribution.
     """
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
-    def __init__(self, value, parents=(), backward: Callable[[], None] | None = None):
+    def __init__(self, value, parents=(), backward: Callable[["Tensor"], None] | None = None,
+                 requires_grad: bool = True):
         self.value = as_array(value)
-        if not parents and not np.all(np.isfinite(self.value)):
+        if parents:
+            requires_grad = any(p.requires_grad for p in parents)
+        elif not np.all(np.isfinite(self.value)):
             raise NumericalError("leaf tensor contains non-finite values")
         self.grad: np.ndarray | None = None
-        self._parents = tuple(parents)
-        self._backward = backward
+        self.requires_grad = requires_grad
+        self._parents = tuple(parents) if requires_grad else ()
+        self._backward = backward if requires_grad else None
 
     @property
     def shape(self):
         return self.value.shape
 
+    def _add_grad(self, g) -> None:
+        """Accumulate ``g``; the first contribution is copied into a buffer laid
+        out like ``value``, which keeps later reductions over it in one order."""
+        if self.grad is None:
+            self.grad = np.empty_like(self.value)
+            self.grad[...] = g
+        else:
+            self.grad += g
+
+    def _grad_buffer(self) -> np.ndarray:
+        """The gradient buffer, zero-filled on first use, for scattered updates."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value)
+        return self.grad
+
     # ---- graph construction -------------------------------------------------
 
     @staticmethod
     def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(as_array(x))
+        return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
     def __add__(self, other):
         other = Tensor._lift(other)
-        out = Tensor(self.value + other.value, (self, other))
 
-        def backward():
-            self.grad += _unbroadcast(out.grad, self.value.shape)
-            other.grad += _unbroadcast(out.grad, other.value.shape)
+        def backward(out):
+            if self.requires_grad:
+                self._add_grad(_unbroadcast(out.grad, self.value.shape))
+            if other.requires_grad:
+                other._add_grad(_unbroadcast(out.grad, other.value.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.value + other.value, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.value, (self,))
-
-        def backward():
-            self.grad -= out.grad
-
-        out._backward = backward
-        return out
+        return Tensor(-self.value, (self,), lambda out: self._add_grad(-out.grad))
 
     def __sub__(self, other):
         other = Tensor._lift(other)
-        out = Tensor(self.value - other.value, (self, other))
 
-        def backward():
-            self.grad += _unbroadcast(out.grad, self.value.shape)
-            other.grad -= _unbroadcast(out.grad, other.value.shape)
+        def backward(out):
+            if self.requires_grad:
+                self._add_grad(_unbroadcast(out.grad, self.value.shape))
+            if other.requires_grad:
+                other._add_grad(-_unbroadcast(out.grad, other.value.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.value - other.value, (self, other), backward)
 
     def __rsub__(self, other):
         return Tensor._lift(other) - self
 
     def __mul__(self, other):
         other = Tensor._lift(other)
-        out = Tensor(self.value * other.value, (self, other))
 
-        def backward():
-            self.grad += _unbroadcast(out.grad * other.value, self.value.shape)
-            other.grad += _unbroadcast(out.grad * self.value, other.value.shape)
+        def backward(out):
+            if self.requires_grad:
+                self._add_grad(_unbroadcast(out.grad * other.value, self.value.shape))
+            if other.requires_grad:
+                other._add_grad(_unbroadcast(out.grad * self.value, other.value.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.value * other.value, (self, other), backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Tensor._lift(other)
-        out = Tensor(self.value / other.value, (self, other))
 
-        def backward():
-            self.grad += _unbroadcast(out.grad / other.value, self.value.shape)
-            other.grad -= _unbroadcast(
-                out.grad * self.value / (other.value * other.value), other.value.shape
-            )
+        def backward(out):
+            if self.requires_grad:
+                self._add_grad(_unbroadcast(out.grad / other.value, self.value.shape))
+            if other.requires_grad:
+                other._add_grad(-_unbroadcast(
+                    out.grad * self.value / (other.value * other.value), other.value.shape
+                ))
 
-        out._backward = backward
-        return out
+        return Tensor(self.value / other.value, (self, other), backward)
 
     def __matmul__(self, other):
         other = Tensor._lift(other)
-        out = Tensor(self.value @ other.value, (self, other))
 
-        def backward():
+        def backward(out):
             g = out.grad
             a, b = self.value, other.value
-            if a.ndim == 1 and b.ndim == 2:
-                self.grad += g @ b.T
-                other.grad += np.outer(a, g)
-            elif a.ndim == 2 and b.ndim == 1:
-                self.grad += np.outer(g, b)
-                other.grad += a.T @ g
-            else:
-                self.grad += g @ b.T
-                other.grad += a.T @ g
+            if self.requires_grad:
+                self._add_grad(np.outer(g, b) if a.ndim == 2 and b.ndim == 1 else g @ b.T)
+            if other.requires_grad:
+                other._add_grad(np.outer(a, g) if a.ndim == 1 and b.ndim == 2 else a.T @ g)
 
-        out._backward = backward
-        return out
+        return Tensor(self.value @ other.value, (self, other), backward)
 
     @property
     def T(self):
-        out = Tensor(self.value.T, (self,))
-
-        def backward():
-            self.grad += out.grad.T
-
-        out._backward = backward
-        return out
+        return Tensor(self.value.T, (self,), lambda out: self._add_grad(out.grad.T))
 
     def relu(self):
-        out = Tensor(np.maximum(self.value, 0.0), (self,))
-
-        def backward():
-            self.grad += out.grad * (self.value > 0)
-
-        out._backward = backward
-        return out
+        return Tensor(np.maximum(self.value, 0.0), (self,),
+                      lambda out: self._add_grad(out.grad * (self.value > 0)))
 
     def exp(self):
-        out = Tensor(np.exp(self.value), (self,))
-
-        def backward():
-            self.grad += out.grad * out.value
-
-        out._backward = backward
-        return out
+        return Tensor(np.exp(self.value), (self,), lambda out: self._add_grad(out.grad * out.value))
 
     def log(self):
-        out = Tensor(np.log(self.value), (self,))
-
-        def backward():
-            self.grad += out.grad / self.value
-
-        out._backward = backward
-        return out
+        return Tensor(np.log(self.value), (self,), lambda out: self._add_grad(out.grad / self.value))
 
     def sqrt(self):
-        out = Tensor(np.sqrt(self.value), (self,))
-
-        def backward():
-            self.grad += out.grad / (2.0 * out.value)
-
-        out._backward = backward
-        return out
+        return Tensor(np.sqrt(self.value), (self,),
+                      lambda out: self._add_grad(out.grad / (2.0 * out.value)))
 
     def maximum(self, floor: float):
         """Elementwise max against a constant floor."""
-        out = Tensor(np.maximum(self.value, floor), (self,))
-
-        def backward():
-            self.grad += out.grad * (self.value > floor)
-
-        out._backward = backward
-        return out
+        return Tensor(np.maximum(self.value, floor), (self,),
+                      lambda out: self._add_grad(out.grad * (self.value > floor)))
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.value.sum(axis=axis, keepdims=keepdims), (self,))
-
-        def backward():
+        def backward(out):
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self.grad += np.broadcast_to(g, self.value.shape)
+            self._add_grad(np.broadcast_to(g, self.value.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.value.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def reshape(self, shape):
-        out = Tensor(self.value.reshape(shape), (self,))
+        return Tensor(self.value.reshape(shape), (self,),
+                      lambda out: self._add_grad(out.grad.reshape(self.value.shape)))
 
-        def backward():
-            self.grad += out.grad.reshape(self.value.shape)
+    def slice_rows(self, start: int, stop: int):
+        """Contiguous slice along the leading axis (entries of a vector, rows of a matrix)."""
+        if self.value.ndim == 0:
+            raise ShapeMismatchError("slice_rows requires an input of rank >= 1")
 
-        out._backward = backward
-        return out
+        def backward(out):
+            self._grad_buffer()[start:stop] += out.grad
 
-    def slice1d(self, start: int, stop: int):
-        """Contiguous slice of a rank-1 tensor."""
-        if self.value.ndim != 1:
-            raise ShapeMismatchError(f"slice1d requires rank-1 input, got shape {self.value.shape}")
-        out = Tensor(self.value[start:stop], (self,))
-
-        def backward():
-            self.grad[start:stop] += out.grad
-
-        out._backward = backward
-        return out
+        return Tensor(self.value[start:stop], (self,), backward)
 
     def take_rows(self, indices):
         """Gather rows of a rank-2 tensor; duplicate indices accumulate gradient."""
         idx = np.asarray(indices, dtype=np.int64)
-        out = Tensor(self.value[idx], (self,))
-
-        def backward():
-            np.add.at(self.grad, idx, out.grad)
-
-        out._backward = backward
-        return out
+        return Tensor(self.value[idx], (self,),
+                      lambda out: np.add.at(self._grad_buffer(), idx, out.grad))
 
     def diagonal(self):
         n = min(self.value.shape)
-        out = Tensor(np.diagonal(self.value).copy(), (self,))
 
-        def backward():
-            self.grad[np.arange(n), np.arange(n)] += out.grad
+        def backward(out):
+            self._grad_buffer()[np.arange(n), np.arange(n)] += out.grad
 
-        out._backward = backward
-        return out
+        return Tensor(np.diagonal(self.value).copy(), (self,), backward)
 
     # ---- differentiation ----------------------------------------------------
 
@@ -283,20 +250,21 @@ class Tensor:
         return order
 
     def backward(self):
-        """Accumulate d(self)/d(node) into ``grad`` for every reachable node.
+        """Accumulate d(self)/d(node) into ``grad`` for every reachable node
+        that requires a gradient.
 
         The root must be scalar-valued. Gradients on reachable nodes are
-        zero-initialized first, so repeated passes do not leak across calls.
+        cleared first, so repeated passes do not leak across calls.
         """
         if self.value.ndim != 0:
             raise GraphError(f"backward requires a scalar root, got shape {self.value.shape}")
         order = self._topo_order()
         for node in order:
-            node.grad = np.zeros_like(node.value)
+            node.grad = None
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node)
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, leaf={not self._parents})"

@@ -79,8 +79,9 @@ def encode_observation(params: MlpParams, obs) -> np.ndarray:
 
 
 def encode_observations(params: MlpParams, obs_matrix, *, tensor: bool = False):
-    """Embed a (batch, d_obs) matrix; tensor=True builds the training graph."""
-    x = Tensor(np.asarray(obs_matrix, dtype=np.float64)) if tensor else obs_matrix
+    """Embed a (batch, d_obs) matrix; tensor=True builds the training graph
+    (the observations themselves get no gradient)."""
+    x = Tensor(obs_matrix, requires_grad=False) if tensor else obs_matrix
     return mlp_apply(params, x)
 
 

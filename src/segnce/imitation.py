@@ -89,7 +89,7 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
     history = np.zeros(config.steps)
     for step in range(config.steps):
         idx = rng.integers(0, n, size=min(config.batch_size, n))
-        pred = mlp_apply(mlp, Tensor(inputs[idx]))
+        pred = mlp_apply(mlp, Tensor(inputs[idx], requires_grad=False))
         err = pred - targets[idx]
         loss = (err * err).sum() * (1.0 / err.value.size)
         loss.backward()

@@ -40,7 +40,7 @@ def loss_gradient_error(variant: str, seed: int, batch_size: int = 4, step: floa
         pieces, off = [], 0
         for shape in shapes:
             size = int(np.prod(shape))
-            pieces.append(theta.slice1d(off, off + size).reshape(shape))
+            pieces.append(theta.slice_rows(off, off + size).reshape(shape))
             off += size
         vision = MlpParams(
             widths=enc.vision.widths, weights=pieces[:n_vis], biases=pieces[n_vis : 2 * n_vis]

@@ -204,7 +204,7 @@ class TestFiniteDifferenceCheck:
             pieces, off = [], 0
             for shape in shapes:
                 size = int(np.prod(shape))
-                pieces.append(theta.slice1d(off, off + size).reshape(shape))
+                pieces.append(theta.slice_rows(off, off + size).reshape(shape))
                 off += size
             n = len(shapes) // 2
             p = MlpParams(widths=params.widths, weights=pieces[:n], biases=pieces[n:])

@@ -1,15 +1,22 @@
 """Unit tests for the training loop, optimizers, and checkpoint container."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from segnce.autodiff import Tensor
+from segnce.autodiff import Tensor, mlp_apply
+from segnce.encoders import encode_instructions, encode_observations, init_params
 from segnce.errors import CheckpointFormatError, TrainingDivergedError
-from segnce.objectives import ObjectiveSpec
+from segnce.objectives import BatchEmbeddings, ObjectiveSpec, batch_loss
+from segnce.sampling import sample_batch
 from segnce.training import (
     Adam,
     Sgd,
     TrainConfig,
+    _embed_batch,
+    default_encoder_config,
     load_checkpoint,
     read_array_archive,
     save_checkpoint,
@@ -110,6 +117,66 @@ class TestTrainLoop:
         ckpt = train(small_config(objective=ObjectiveSpec(variant=variant), iterations=10), small_dataset)
         assert np.all(np.isfinite(ckpt.history[:, 1]))
 
+
+
+def _encoders(dataset, variant):
+    spec = ObjectiveSpec(variant=variant)
+    return spec, init_params(default_encoder_config(small_config(objective=spec), dataset), seed=0)
+
+
+class TestLeanGraph:
+    def test_graph_freed_without_cyclic_gc(self, small_dataset):
+        """A released t8 graph is freed by reference counting alone."""
+        spec, enc = _encoders(small_dataset, "t8")
+        rng = np.random.default_rng(0)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            batch = _embed_batch(enc, spec, sample_batch(small_dataset, 8, rng).segments, rng)
+            interior = weakref.ref(batch.intermediates[4])
+            loss = batch_loss(spec, batch)
+            del batch
+            loss.backward()
+            del loss
+            assert interior() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_inputs_and_constants_get_no_gradient(self, small_dataset):
+        """Only parameters receive gradients, and the parameter gradients equal,
+        bit for bit, those of the same graph with a differentiable input."""
+        spec, enc = _encoders(small_dataset, "t")
+        obs = np.stack([traj.observations[[0, -1]] for traj in small_dataset[:8]], axis=1)
+        psi = encode_instructions(enc.language, [t.instruction for t in small_dataset[:8]], tensor=True)
+
+        def parameter_grads(embed):
+            batch = BatchEmbeddings(starts=embed(obs[0]), goals=embed(obs[1]), instructions=psi)
+            loss = batch_loss(spec, batch)
+            loss.backward()
+            return loss, [leaf.grad.copy() for leaf in enc.leaves()]
+
+        loss, grads = parameter_grads(lambda o: encode_observations(enc.vision, o, tensor=True))
+        params = {id(leaf) for leaf in enc.leaves()}
+        leaves = [node for node in loss._topo_order() if not node._parents]
+        inputs = [node for node in leaves if node.value.shape == obs[0].shape]
+        assert len(inputs) == 2 and len(leaves) > len(params) + 2  # inputs and lifted constants
+        for node in leaves:
+            if id(node) in params:
+                assert node.requires_grad and node.grad is not None
+            else:
+                assert not node.requires_grad and node.grad is None
+
+        differentiable_inputs = []
+
+        def embed_differentiable(o):
+            differentiable_inputs.append(Tensor(o))
+            return mlp_apply(enc.vision, differentiable_inputs[-1])
+
+        _, reference = parameter_grads(embed_differentiable)
+        assert all(x.requires_grad and x.grad is not None for x in differentiable_inputs)
+        for got, want in zip(grads, reference):
+            assert np.array_equal(got, want)
 
 class TestCheckpointIo:
     def test_round_trip_bit_exact(self, tmp_path, small_dataset):
