@@ -307,6 +307,21 @@ def normalize_rows(m: "Tensor | np.ndarray", eps: float = COSINE_EPS):
     return m / norms
 
 
+def concat_rows(parts: Sequence):
+    """Stack matrices along the leading axis; any Tensor part makes the result a Tensor."""
+    if not any(isinstance(p, Tensor) for p in parts):
+        return np.concatenate([as_array(p) for p in parts])
+    parts = [Tensor._lift(p) for p in parts]
+    bounds = np.cumsum([0, *(p.value.shape[0] for p in parts)])
+
+    def backward(out):
+        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            if p.requires_grad:
+                p._add_grad(out.grad[lo:hi])
+
+    return Tensor(np.concatenate([p.value for p in parts]), parts, backward)
+
+
 def cosine_matrix(a, b, eps: float = COSINE_EPS):
     """All-pairs cosine similarities between the rows of ``a`` and of ``b``."""
     an, bn = normalize_rows(a, eps), normalize_rows(b, eps)

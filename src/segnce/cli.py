@@ -190,6 +190,18 @@ def _run_reward_curve(cfg: dict) -> tuple[list, list]:
     return [cfg["ckpt"], cfg["data"]], [out]
 
 
+def _comma_list(cfg: dict, key: str, words=()) -> list:
+    """The non-empty entries of the comma list ``cfg[key]``, as integers
+    unless one of ``words``."""
+    values = []
+    for part in filter(None, (part.strip() for part in cfg[key].split(","))):
+        try:
+            values.append(part if part in words else int(part))
+        except ValueError:
+            raise EmptyInputError(f"--{key} entry {part!r} is not an integer") from None
+    return values
+
+
 def heatmap_segments(world: World, dataset, lengths) -> tuple[list[Segment], list[str]]:
     """One row per (task, requested length): centered segments from the first
     trajectory of each task; 'full' means the whole trajectory."""
@@ -212,8 +224,7 @@ def heatmap_segments(world: World, dataset, lengths) -> tuple[list[Segment], lis
 
 def _run_heatmap(cfg: dict) -> tuple[list, list]:
     ckpt, world, dataset = _load_ckpt_and_world(cfg)
-    lengths = [part.strip() for part in cfg["lengths"].split(",") if part.strip()]
-    segments, row_labels = heatmap_segments(world, dataset, lengths)
+    segments, row_labels = heatmap_segments(world, dataset, _comma_list(cfg, "lengths", ("full",)))
     instructions = world.instructions()
     grid = analysis.reward_heatmap(
         ckpt,
@@ -268,7 +279,7 @@ def _run_eval_lcbc(cfg: dict) -> tuple[list, list]:
     wc, demos = load_dataset(cfg["demos"])
     world = World(wc)
     bc = imitation.BcConfig(
-        hidden=tuple(int(w) for w in cfg["hidden"].split(",")),
+        hidden=tuple(_comma_list(cfg, "hidden")),
         learning_rate=cfg["lr"],
         batch_size=cfg["batch_size"],
         steps=cfg["steps"],

@@ -29,6 +29,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    concat_rows,
     cosine_matrix,
     cosine_similarity,
     logsumexp_axis,
@@ -181,11 +182,9 @@ def segment_logits(spec: ObjectiveSpec, batch: BatchEmbeddings):
     if frames is None or len(frames) != spec.n_sample_points:
         got = 0 if frames is None else len(frames)
         raise ShapeMismatchError(f"expected {spec.n_sample_points} frame embedding matrices, got {got}")
-    logits = None
-    for a, b in zip(frames[:-1], frames[1:]):
-        term = cosine_matrix(b - a, ins)
-        logits = term if logits is None else logits + term
-    return logits
+    # every hop's displacements in one (hops * B, I) product, then summed in hop order
+    hop_logits = cosine_matrix(concat_rows([b - a for a, b in zip(frames[:-1], frames[1:])]), ins)
+    return hop_logits.reshape((spec.hops, -1, hop_logits.shape[1])).sum(axis=0)
 
 
 def batch_loss(spec: ObjectiveSpec, batch: BatchEmbeddings):

@@ -78,12 +78,6 @@ class Segment:
     def length(self) -> int:
         return self.goal - self.start
 
-    def start_observation(self) -> np.ndarray:
-        return self.trajectory.observations[self.start]
-
-    def goal_observation(self) -> np.ndarray:
-        return self.trajectory.observations[self.goal]
-
     def frame_indices(self, k: int) -> np.ndarray:
         """The k+1 evenly spaced frame indices start + floor(length * i / k)."""
         i = np.arange(k + 1)

@@ -140,35 +140,26 @@ def _grad_norm(leaves: Sequence[Tensor]) -> float:
 
 
 def _embed_batch(encoders: Encoders, spec: ObjectiveSpec, segments, rng) -> BatchEmbeddings:
-    instructions = encode_instructions(
-        encoders.language, [s.instruction for s in segments], tensor=True
+    """Embed every frame the batch needs in one vision pass, position-major
+    (the start frames of all segments, then the next position's, ...), and
+    each distinct instruction once."""
+    distinct = list(dict.fromkeys(s.instruction for s in segments))
+    row = {instruction: i for i, instruction in enumerate(distinct)}
+    instructions = encode_instructions(encoders.language, distinct, tensor=True).take_rows(
+        [row[s.instruction] for s in segments]
     )
     if spec.variant == "frame-align":
-        frames = np.stack(
-            [s.trajectory.observations[rng.integers(0, s.trajectory.h)] for s in segments]
-        )
-        return BatchEmbeddings(
-            single=encode_observations(encoders.vision, frames, tensor=True),
-            instructions=instructions,
-        )
-    if spec.hops > 1:
-        mats = []
-        index_sets = [s.frame_indices(spec.hops) for s in segments]
-        for pos in range(spec.n_sample_points):
-            frames = np.stack(
-                [s.trajectory.observations[idx[pos]] for s, idx in zip(segments, index_sets)]
-            )
-            mats.append(encode_observations(encoders.vision, frames, tensor=True))
-        return BatchEmbeddings(
-            starts=mats[0], goals=mats[-1], instructions=instructions, intermediates=mats
-        )
-    starts = np.stack([s.start_observation() for s in segments])
-    goals = np.stack([s.goal_observation() for s in segments])
-    return BatchEmbeddings(
-        starts=encode_observations(encoders.vision, starts, tensor=True),
-        goals=encode_observations(encoders.vision, goals, tensor=True),
-        instructions=instructions,
-    )
+        positions = [[rng.integers(0, s.trajectory.h)] for s in segments]
+    else:
+        positions = [s.frame_indices(spec.hops) for s in segments]
+    frames = np.stack([s.trajectory.observations[p] for s, p in zip(segments, positions)], axis=1)
+    embedded = encode_observations(encoders.vision, frames.reshape(-1, frames.shape[2]), tensor=True)
+    b = len(segments)
+    mats = [embedded.slice_rows(i * b, (i + 1) * b) for i in range(frames.shape[0])]
+    if spec.variant == "frame-align":
+        return BatchEmbeddings(single=mats[0], instructions=instructions)
+    return BatchEmbeddings(starts=mats[0], goals=mats[-1], instructions=instructions,
+                           intermediates=mats if spec.hops > 1 else None)
 
 
 def default_encoder_config(config: TrainConfig, dataset: Sequence[Trajectory],

@@ -7,6 +7,7 @@ import pytest
 from segnce.autodiff import (
     MlpParams,
     Tensor,
+    concat_rows,
     cosine_similarity,
     finite_difference_check,
     init_mlp,
@@ -135,6 +136,16 @@ class TestBackward:
         rows = t.take_rows([1, 1])
         rows.sum().backward()
         assert t.grad[1].sum() == pytest.approx(2 * 3)
+
+    def test_row_slices_and_concatenation_gradients(self):
+        weights = np.arange(1.0, 13.0).reshape(4, 3)
+
+        def f(theta):
+            m = theta.reshape((4, 3))
+            parts = concat_rows([m.slice_rows(2, 4), m.slice_rows(0, 1) * m.slice_rows(1, 2), np.ones((1, 3))])
+            return (parts * parts * weights).sum()
+
+        assert finite_difference_check(f, np.linspace(-1.0, 1.0, 12), step=1e-6) <= 1e-6
 
     def test_leaf_rejects_nonfinite(self):
         with pytest.raises(NumericalError):

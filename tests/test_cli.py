@@ -299,6 +299,12 @@ MALFORMED_INPUTS = {
     "data-binary": _heatmap_data(_binary_file),
     "data-checkpoint": _heatmap_data(lambda tmp, data, ckpt: ckpt),
     "data-unknown-world-key": _heatmap_data(_unknown_world_key),
+    "heatmap-lengths-not-int": lambda tmp, data, ckpt: [
+        "heatmap", "--ckpt", str(ckpt), "--data", str(data), "--lengths", "2,x", "--out", str(tmp / "h.csv")
+    ],
+    "eval-lcbc-hidden-not-int": lambda tmp, data, ckpt: [
+        "eval-lcbc", "--ckpt", str(ckpt), "--demos", str(data), "--hidden", "a,b", "--out", str(tmp / "bc.json")
+    ],
 }
 
 

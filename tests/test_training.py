@@ -1,16 +1,32 @@
 """Unit tests for the training loop, optimizers, and checkpoint container."""
 
+import copy
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from segnce.autodiff import Tensor, mlp_apply
-from segnce.encoders import encode_instructions, encode_observations, init_params
+from segnce.autodiff import Tensor, cosine_similarity, mlp_apply
+from segnce.encoders import (
+    encode_instruction,
+    encode_instructions,
+    encode_observation,
+    encode_observations,
+    init_params,
+)
 from segnce.errors import CheckpointFormatError, TrainingDivergedError
-from segnce.objectives import BatchEmbeddings, ObjectiveSpec, batch_loss
-from segnce.sampling import sample_batch
+from segnce.objectives import (
+    VARIANTS,
+    BatchEmbeddings,
+    ObjectiveSpec,
+    batch_loss,
+    multiframe_transition_reward,
+    segment_logits,
+    segment_reward_potential,
+    segment_reward_transition,
+)
+from segnce.sampling import Segment, sample_batch
 from segnce.training import (
     Adam,
     Sgd,
@@ -118,7 +134,6 @@ class TestTrainLoop:
         assert np.all(np.isfinite(ckpt.history[:, 1]))
 
 
-
 def _encoders(dataset, variant):
     spec = ObjectiveSpec(variant=variant)
     return spec, init_params(default_encoder_config(small_config(objective=spec), dataset), seed=0)
@@ -177,6 +192,43 @@ class TestLeanGraph:
         assert all(x.requires_grad and x.grad is not None for x in differentiable_inputs)
         for got, want in zip(grads, reference):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stacked_embedding_matches_reference_rewards(small_dataset, variant):
+    """One stacked vision pass and the distinct-instruction encoding give the
+    logits of the per-vector reference rewards."""
+    spec, enc = _encoders(small_dataset, variant)
+    rng = np.random.default_rng(1)
+    short = Segment(small_dataset[0], 0, 2)  # t8 repeats its frame indices
+    segments = [short, *sample_batch(small_dataset, 15, rng).segments]
+    frame_rng = copy.deepcopy(rng)
+    batch = _embed_batch(enc, spec, segments, rng)
+    logits = segment_logits(spec, batch).value
+
+    def phi(segment, index):
+        return encode_observation(enc.vision, segment.trajectory.observations[index])
+
+    reward = {
+        "p": lambda s, psi: segment_reward_potential(phi(s, s.start), phi(s, s.goal), psi),
+        "t": lambda s, psi: segment_reward_transition(phi(s, s.start), phi(s, s.goal), psi),
+        "t4": lambda s, psi: multiframe_transition_reward([phi(s, i) for i in s.frame_indices(4)], psi, 4),
+        "t8": lambda s, psi: multiframe_transition_reward([phi(s, i) for i in s.frame_indices(8)], psi, 8),
+    }.get(variant)
+    for j, segment in enumerate(segments):
+        if variant == "frame-align":
+            frame = phi(segment, frame_rng.integers(0, segment.trajectory.h))
+        for i, labelled in enumerate(segments):
+            psi = encode_instruction(enc.language, labelled.instruction)
+            want = cosine_similarity(frame, psi) if reward is None else reward(segment, psi)
+            assert abs(logits[j, i] - want) <= 1e-12
+
+    if variant == "t8":
+        hops = [b.value[0] - a.value[0] for a, b in zip(batch.intermediates[:-1], batch.intermediates[1:])]
+        index = short.frame_indices(8)
+        repeated = [hop for hop, a, b in zip(hops, index[:-1], index[1:]) if a == b]
+        assert len(repeated) == 6 and not np.any(repeated)
+
 
 class TestCheckpointIo:
     def test_round_trip_bit_exact(self, tmp_path, small_dataset):
