@@ -17,14 +17,15 @@ from .autodiff import (
     init_mlp,
     logsumexp,
     mlp_apply,
+    no_grad,
 )
 from .encoders import (
     EncoderConfig,
     Encoders,
     Instruction,
     InstructionEncoderParams,
-    encode_instruction,
-    encode_observation,
+    encode_instructions,
+    encode_observations,
     init_params,
 )
 from .objectives import (
@@ -74,8 +75,8 @@ __all__ = [
     "bt_probability",
     "cosine_similarity",
     "empirical_goal_histogram",
-    "encode_instruction",
-    "encode_observation",
+    "encode_instructions",
+    "encode_observations",
     "finite_difference_check",
     "frame_alignment_loss",
     "generate_dataset",
@@ -87,6 +88,7 @@ __all__ = [
     "logsumexp",
     "mlp_apply",
     "multiframe_transition_reward",
+    "no_grad",
     "potential_batch_loss",
     "potential_step_reward",
     "sample_batch",

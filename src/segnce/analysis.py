@@ -1,8 +1,9 @@
 """Read-only consumers of a trained checkpoint: reward curves, heatmaps,
 and first-frame clustering statistics.
 
-All functions here run the frozen (numpy) encoder paths, so nothing can
-backpropagate into a checkpoint by construction.
+They embed through the training code inside ``autodiff.no_grad``, score
+the embeddings as constants and return ndarrays, so nothing can
+backpropagate into a checkpoint.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import mlp_apply, normalize_rows
-from .encoders import Instruction, encode_instruction, encode_instructions
+from .autodiff import mlp_apply, no_grad, normalize_rows
+from .encoders import Instruction, encode_instructions
 from .errors import EmptyInputError, ShapeMismatchError
 from .objectives import BatchEmbeddings, segment_logits
 from .sampling import Segment, Trajectory
@@ -50,11 +51,14 @@ class HeatmapGrid:
 
 def embed_frames(ckpt: Checkpoint, observations: np.ndarray) -> np.ndarray:
     """Frozen vision embeddings for a (h, d_obs) observation matrix."""
-    return mlp_apply(ckpt.encoders.vision, np.asarray(observations, dtype=np.float64))
+    with no_grad():
+        return mlp_apply(ckpt.encoders.vision, observations).value
 
 
-def embed_instruction(ckpt: Checkpoint, instruction: Instruction) -> np.ndarray:
-    return encode_instruction(ckpt.encoders.language, instruction)
+def embed_instructions(ckpt: Checkpoint, instructions: Sequence[Instruction]) -> np.ndarray:
+    """Frozen (n, embed_dim) embeddings of a sequence of instructions."""
+    with no_grad():
+        return encode_instructions(ckpt.encoders.language, instructions).value
 
 
 def normalize_curve(raw: np.ndarray) -> np.ndarray:
@@ -67,7 +71,7 @@ def normalize_curve(raw: np.ndarray) -> np.ndarray:
 def frame_similarity(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Cosine of every row of a frame-embedding matrix to one instruction
     embedding (normalized with a 1e-8 floor on its norm)."""
-    return normalize_rows(phi) @ (psi / max(float(np.linalg.norm(psi)), 1e-8))
+    return (normalize_rows(phi) @ (psi / max(float(np.linalg.norm(psi)), 1e-8))).value
 
 
 def reward_curve(ckpt: Checkpoint, traj: Trajectory, instruction: Instruction) -> RewardCurve:
@@ -78,7 +82,7 @@ def reward_curve(ckpt: Checkpoint, traj: Trajectory, instruction: Instruction) -
         raise ShapeMismatchError(
             f"trajectory observation width {traj.observations.shape[1]} != checkpoint d_obs {d_obs}"
         )
-    raw = frame_similarity(embed_frames(ckpt, traj.observations), embed_instruction(ckpt, instruction))
+    raw = frame_similarity(embed_frames(ckpt, traj.observations), embed_instructions(ckpt, [instruction])[0])
     return RewardCurve(instruction=instruction, raw=raw, normalized=normalize_curve(raw))
 
 
@@ -103,11 +107,11 @@ def segment_score(
     batch = BatchEmbeddings(
         starts=frames[0],
         goals=frames[-1],
-        instructions=encode_instructions(ckpt.encoders.language, instructions),
+        instructions=embed_instructions(ckpt, instructions),
         intermediates=frames,
         single=frames[-1],
     )
-    return segment_logits(spec, batch)
+    return segment_logits(spec, batch).value
 
 
 def reward_heatmap(
@@ -144,13 +148,14 @@ def first_image_similarity_stats(
         rng = rng or np.random.default_rng(0)
         picks = list(rng.choice(len(dataset), size=max_trajectories, replace=False))
     firsts = np.stack([dataset[i].observations[0] for i in picks])
-    emb = normalize_rows(embed_frames(ckpt, firsts))
+    emb = normalize_rows(embed_frames(ckpt, firsts)).value
     gram = emb @ emb.T
     n = len(picks)
     iu = np.triu_indices(n, k=1)
     pairwise_mean = float(gram[iu].mean())
 
-    psi_all = np.stack([embed_instruction(ckpt, ins) for ins in vocabulary])
+    # one call per instruction: a row's last bits depend on the batch it is embedded in
+    psi_all = np.concatenate([embed_instructions(ckpt, [ins]) for ins in vocabulary])
     psi_mean = psi_all.mean(axis=0)
     psi_mean = psi_mean / max(float(np.linalg.norm(psi_mean)), 1e-8)
     to_mean_instruction = float((emb @ psi_mean).mean())
@@ -177,7 +182,7 @@ def random_frame_pair_similarity(
         traj = dataset[int(rng.integers(0, len(dataset)))]
         t = int(rng.integers(1, traj.h))
         frames.append(traj.observations[t])
-    emb = normalize_rows(embed_frames(ckpt, np.stack(frames)))
+    emb = normalize_rows(embed_frames(ckpt, np.stack(frames))).value
     a, b = emb[:n_pairs], emb[n_pairs:]
     return float(np.sum(a * b, axis=1).mean())
 

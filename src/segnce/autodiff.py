@@ -15,13 +15,17 @@ output node as an argument and never captures it, so a graph holds no
 reference cycle and is freed by reference counting as soon as its root is
 released.
 
-Plain ``numpy`` arrays flow through the same public helpers
-(``cosine_similarity``, ``logsumexp``, ``mlp_apply``) without building a
-graph, which is how frozen encoders are evaluated cheaply downstream.
+There is one implementation per primitive. The helpers below lift array
+inputs to constant ``Tensor``s and always return a ``Tensor``. Frozen
+consumers run the same code inside :func:`no_grad`: no node built in that
+scope records parents or a closure, whatever its leaves require, and the
+caller reads ``.value``. Only :func:`cosine_similarity` stays a plain numpy
+function, as the float reference the batched forms are checked against.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,6 +39,19 @@ from .errors import (
 )
 
 COSINE_EPS = 1e-8
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Scope in which no ``Tensor`` records a graph; the previous state is
+    restored on exit, also when the block raises."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def as_array(x) -> np.ndarray:
@@ -58,9 +75,9 @@ class Tensor:
 
     Leaf tensors (no parents) are parameters unless built with
     ``requires_grad=False``; interior nodes cache the forward value and, when
-    some parent requires a gradient, know how to push gradients to their
-    parents. ``grad`` is ``None`` until :meth:`backward` adds a first
-    contribution.
+    some parent requires a gradient outside :func:`no_grad`, know how to push
+    gradients to their parents. ``grad`` is ``None`` until :meth:`backward`
+    adds a first contribution.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
@@ -69,8 +86,8 @@ class Tensor:
                  requires_grad: bool = True):
         self.value = as_array(value)
         if parents:
-            requires_grad = any(p.requires_grad for p in parents)
-        elif not np.all(np.isfinite(self.value)):
+            requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+        elif not np.isfinite(self.value).all():
             raise NumericalError("leaf tensor contains non-finite values")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -80,6 +97,9 @@ class Tensor:
     @property
     def shape(self):
         return self.value.shape
+
+    def __float__(self):
+        return float(self.value)
 
     def _add_grad(self, g) -> None:
         """Accumulate ``g``; the first contribution is copied into a buffer laid
@@ -273,44 +293,33 @@ class Tensor:
 # ---- similarity and log-sum-exp ----------------------------------------------
 
 
-def cosine_similarity(a, b, eps: float = COSINE_EPS):
-    """Cosine similarity of two equal-length rank-1 vectors.
+def cosine_similarity(a, b, eps: float = COSINE_EPS) -> float:
+    """Cosine similarity of two equal-length rank-1 arrays, as a float.
 
     Norms are floored at ``eps`` so degenerate (near-zero) vectors yield a
-    similarity of ~0 instead of dividing by zero. Accepts either two plain
-    arrays (returns float) or Tensors (returns a differentiable Tensor).
+    similarity of ~0 instead of dividing by zero. This is the per-vector
+    reference for :func:`cosine_matrix`.
     """
-    a_val = a.value if isinstance(a, Tensor) else as_array(a)
-    b_val = b.value if isinstance(b, Tensor) else as_array(b)
-    if a_val.ndim != 1 or b_val.ndim != 1 or a_val.shape != b_val.shape:
+    a, b = as_array(a), as_array(b)
+    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
         raise ShapeMismatchError(
-            f"cosine_similarity requires equal-length rank-1 inputs, got {a_val.shape} and {b_val.shape}"
+            f"cosine_similarity requires equal-length rank-1 inputs, got {a.shape} and {b.shape}"
         )
-    if isinstance(a, Tensor) or isinstance(b, Tensor):
-        at, bt = Tensor._lift(a), Tensor._lift(b)
-        # flooring happens inside the sqrt so the graph never hits sqrt(0)
-        na = (at * at).sum().maximum(eps * eps).sqrt()
-        nb = (bt * bt).sum().maximum(eps * eps).sqrt()
-        return (at * bt).sum() / (na * nb)
-    na = max(float(np.linalg.norm(a_val)), eps)
-    nb = max(float(np.linalg.norm(b_val)), eps)
-    return float(np.dot(a_val, b_val)) / (na * nb)
+    na = max(float(np.linalg.norm(a)), eps)
+    nb = max(float(np.linalg.norm(b)), eps)
+    return float(np.dot(a, b)) / (na * nb)
 
 
-def normalize_rows(m: "Tensor | np.ndarray", eps: float = COSINE_EPS):
-    """Row-normalize a rank-2 array with the same eps floor as cosine_similarity."""
-    if isinstance(m, Tensor):
-        sq = (m * m).sum(axis=1, keepdims=True)
-        return m / sq.maximum(eps * eps).sqrt()
-    m = as_array(m)
-    norms = np.sqrt(np.maximum((m * m).sum(axis=1, keepdims=True), eps * eps))
-    return m / norms
+def normalize_rows(m, eps: float = COSINE_EPS) -> Tensor:
+    """Row-normalize a rank-2 matrix with the same eps floor as cosine_similarity;
+    the floor sits inside the sqrt so the graph never hits sqrt(0)."""
+    m = Tensor._lift(m)
+    sq = (m * m).sum(axis=1, keepdims=True)
+    return m / sq.maximum(eps * eps).sqrt()
 
 
-def concat_rows(parts: Sequence):
-    """Stack matrices along the leading axis; any Tensor part makes the result a Tensor."""
-    if not any(isinstance(p, Tensor) for p in parts):
-        return np.concatenate([as_array(p) for p in parts])
+def concat_rows(parts: Sequence) -> Tensor:
+    """Stack matrices along the leading axis."""
     parts = [Tensor._lift(p) for p in parts]
     bounds = np.cumsum([0, *(p.value.shape[0] for p in parts)])
 
@@ -322,37 +331,22 @@ def concat_rows(parts: Sequence):
     return Tensor(np.concatenate([p.value for p in parts]), parts, backward)
 
 
-def cosine_matrix(a, b, eps: float = COSINE_EPS):
+def cosine_matrix(a, b, eps: float = COSINE_EPS) -> Tensor:
     """All-pairs cosine similarities between the rows of ``a`` and of ``b``."""
-    an, bn = normalize_rows(a, eps), normalize_rows(b, eps)
-    if isinstance(an, Tensor) or isinstance(bn, Tensor):
-        return Tensor._lift(an) @ Tensor._lift(bn).T
-    return an @ bn.T
+    return normalize_rows(a, eps) @ normalize_rows(b, eps).T
 
 
-def logsumexp(xs):
-    """Stable log(sum(exp(xs))) of a non-empty sequence of scalars.
+def logsumexp(xs, axis=None) -> Tensor:
+    """Stable log(sum(exp(xs))) over all entries, or along ``axis``.
 
     Shift-invariant by construction: the max is subtracted before
     exponentiation and added back outside.
     """
-    if isinstance(xs, Tensor):
-        if xs.value.size == 0:
-            raise EmptyInputError("logsumexp of an empty sequence")
-        m = float(xs.value.max())
-        return (xs - m).exp().sum().log() + m
-    xs = as_array(xs)
-    if xs.size == 0:
+    xs = Tensor._lift(xs)
+    if xs.value.size == 0:
         raise EmptyInputError("logsumexp of an empty sequence")
-    m = float(xs.max())
-    return m + float(np.log(np.exp(xs - m).sum()))
-
-
-def logsumexp_axis(t: Tensor, axis: int) -> Tensor:
-    """Log-sum-exp of a rank-2 Tensor along one axis, returning a rank-1 Tensor."""
-    m = t.value.max(axis=axis, keepdims=True)
-    shifted = (t - m).exp().sum(axis=axis).log()
-    return shifted + np.squeeze(m, axis=axis)
+    m = xs.value.max(axis=axis, keepdims=True)
+    return (xs - m).exp().sum(axis=axis).log() + np.squeeze(m, axis=axis)
 
 
 # ---- multilayer perceptron -----------------------------------------------------
@@ -362,9 +356,8 @@ def logsumexp_axis(t: Tensor, axis: int) -> Tensor:
 class MlpParams:
     """Dense MLP parameters: rectifier between affine layers, affine output.
 
-    Weight matrices are stored (out, in). Entries are Tensor leaves so the
-    same container serves training (Tensor inputs build a graph into them)
-    and frozen evaluation (array inputs read .value and skip the graph).
+    Weight matrices are stored (out, in). Entries are Tensor leaves: a forward
+    pass builds a graph into them, unless it runs inside :func:`no_grad`.
     """
 
     widths: list[int]
@@ -373,9 +366,6 @@ class MlpParams:
 
     def leaves(self) -> list[Tensor]:
         return [*self.weights, *self.biases]
-
-    def arrays(self) -> list[np.ndarray]:
-        return [leaf.value.copy() for leaf in self.leaves()]
 
 
 def init_mlp(widths: Sequence[int], rng: np.random.Generator) -> MlpParams:
@@ -390,30 +380,18 @@ def init_mlp(widths: Sequence[int], rng: np.random.Generator) -> MlpParams:
     return MlpParams(widths=widths, weights=weights, biases=biases)
 
 
-def mlp_apply(params: MlpParams, x):
-    """Apply the MLP to a single vector or a (batch, in) matrix.
-
-    Tensor input builds a differentiable graph through the parameters;
-    ndarray input is a pure numpy forward pass that cannot backpropagate,
-    which is what "frozen" consumers rely on.
-    """
-    n_layers = len(params.weights)
-    tensor_mode = isinstance(x, Tensor)
-    h = x if tensor_mode else as_array(x)
-    val = h.value if tensor_mode else h
-    if val.ndim not in (1, 2) or val.shape[-1] != params.widths[0]:
+def mlp_apply(params: MlpParams, x) -> Tensor:
+    """Apply the MLP to a single vector or a (batch, in) matrix; an array input
+    is lifted as a constant, so it gets no gradient."""
+    h = Tensor._lift(x)
+    if h.value.ndim not in (1, 2) or h.value.shape[-1] != params.widths[0]:
         raise ShapeMismatchError(
-            f"mlp input shape {val.shape} does not match first layer width {params.widths[0]}"
+            f"mlp input shape {h.value.shape} does not match first layer width {params.widths[0]}"
         )
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if tensor_mode:
-            h = h @ w.T + b
-            if i < n_layers - 1:
-                h = h.relu()
-        else:
-            h = h @ w.value.T + b.value
-            if i < n_layers - 1:
-                h = np.maximum(h, 0.0)
+        h = h @ w.T + b
+        if i < len(params.weights) - 1:
+            h = h.relu()
     return h
 
 

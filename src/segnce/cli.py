@@ -191,14 +191,16 @@ def _run_reward_curve(cfg: dict) -> tuple[list, list]:
 
 
 def _comma_list(cfg: dict, key: str, words=()) -> list:
-    """The non-empty entries of the comma list ``cfg[key]``, as integers
-    unless one of ``words``."""
+    """The non-empty entries of the comma list ``cfg[key]``, as positive
+    integers unless one of ``words``."""
     values = []
     for part in filter(None, (part.strip() for part in cfg[key].split(","))):
         try:
             values.append(part if part in words else int(part))
         except ValueError:
             raise EmptyInputError(f"--{key} entry {part!r} is not an integer") from None
+        if part not in words and values[-1] < 1:
+            raise EmptyInputError(f"--{key} entry {part!r} is below 1")
     return values
 
 

@@ -73,41 +73,20 @@ def init_params(config: EncoderConfig, seed: int) -> Encoders:
     return Encoders(vision=vision, language=InstructionEncoderParams(table, projection), config=config)
 
 
-def encode_observation(params: MlpParams, obs) -> np.ndarray:
-    """Embed one observation vector (no normalization; similarity normalizes)."""
-    return mlp_apply(params, obs)
+def encode_observations(params: MlpParams, obs_matrix) -> Tensor:
+    """Embed a (batch, d_obs) matrix (no normalization; similarity normalizes).
+    The observations are lifted as constants and get no gradient."""
+    return mlp_apply(params, obs_matrix)
 
 
-def encode_observations(params: MlpParams, obs_matrix, *, tensor: bool = False):
-    """Embed a (batch, d_obs) matrix; tensor=True builds the training graph
-    (the observations themselves get no gradient)."""
-    x = Tensor(obs_matrix, requires_grad=False) if tensor else obs_matrix
-    return mlp_apply(params, x)
-
-
-def _check_tokens(params: InstructionEncoderParams, verbs: np.ndarray, objs: np.ndarray):
+def encode_instructions(params: InstructionEncoderParams, instructions) -> Tensor:
+    """Embed a batch of instructions into a (batch, embed_dim) matrix: the
+    projected mean of each instruction's two token embeddings."""
+    verbs = np.array([i.verb for i in instructions], dtype=np.int64)
+    objs = np.array([i.obj for i in instructions], dtype=np.int64)
     vocab = params.table.value.shape[0]
     for tok in np.concatenate([verbs, objs]):
         if tok < 0 or tok >= vocab:
             raise VocabularyError(f"token id {int(tok)} outside vocabulary of size {vocab}")
-
-
-def encode_instruction(params: InstructionEncoderParams, instruction: Instruction) -> np.ndarray:
-    """Embed one instruction: projected mean of its two token embeddings."""
-    verbs = np.array([instruction.verb])
-    objs = np.array([instruction.obj])
-    _check_tokens(params, verbs, objs)
-    mean = 0.5 * (params.table.value[verbs[0]] + params.table.value[objs[0]])
-    return mlp_apply(params.projection, mean)
-
-
-def encode_instructions(params: InstructionEncoderParams, instructions, *, tensor: bool = False):
-    """Embed a batch of instructions into a (batch, embed_dim) matrix."""
-    verbs = np.array([i.verb for i in instructions], dtype=np.int64)
-    objs = np.array([i.obj for i in instructions], dtype=np.int64)
-    _check_tokens(params, verbs, objs)
-    if tensor:
-        mean = (params.table.take_rows(verbs) + params.table.take_rows(objs)) * 0.5
-        return mlp_apply(params.projection, mean)
-    mean = 0.5 * (params.table.value[verbs] + params.table.value[objs])
+    mean = (params.table.take_rows(verbs) + params.table.take_rows(objs)) * 0.5
     return mlp_apply(params.projection, mean)

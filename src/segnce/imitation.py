@@ -4,7 +4,7 @@ A small MLP maps the concatenation of the frozen frame embedding, the
 frozen instruction embedding, and the scalar completion level (the
 proprioception analogue) to an action, trained with mean squared error on
 scripted-expert demonstrations. The encoders are only ever evaluated
-through their numpy paths, so no gradient can reach them.
+inside ``autodiff.no_grad``, so no gradient can reach them.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import MlpParams, Tensor, init_mlp, mlp_apply
-from .analysis import embed_frames, embed_instruction
+from .autodiff import MlpParams, Tensor, init_mlp, mlp_apply, no_grad
+from .analysis import embed_frames, embed_instructions
 from .encoders import Instruction
-from .errors import CheckpointFormatError, EmptyInputError
+from .errors import CheckpointFormatError, EmptyInputError, NumericalError
 from .sampling import Trajectory
 from .training import (
     Checkpoint,
@@ -59,17 +59,17 @@ def featurize_demos(ckpt: Checkpoint, demos: Sequence[Trajectory]) -> tuple[np.n
     if len(demos) == 0:
         raise EmptyInputError("need at least one demonstration")
     inputs, targets = [], []
+    psi = {ins: embed_instructions(ckpt, [ins])[0] for ins in {d.instruction for d in demos}}
     for demo in demos:
         if demo.actions is None:
             raise EmptyInputError("demonstration has no actions")
         if demo.progression is None:
             raise EmptyInputError("demonstration has no progression channel")
         phi = embed_frames(ckpt, demo.observations[:-1])
-        psi = embed_instruction(ckpt, demo.instruction)
         n = demo.h - 1
         inputs.append(
             np.concatenate(
-                [phi, np.tile(psi, (n, 1)), demo.progression[:-1, None]], axis=1
+                [phi, np.tile(psi[demo.instruction], (n, 1)), demo.progression[:-1, None]], axis=1
             )
         )
         targets.append(demo.actions)
@@ -89,7 +89,7 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
     history = np.zeros(config.steps)
     for step in range(config.steps):
         idx = rng.integers(0, n, size=min(config.batch_size, n))
-        pred = mlp_apply(mlp, Tensor(inputs[idx], requires_grad=False))
+        pred = mlp_apply(mlp, inputs[idx])
         err = pred - targets[idx]
         loss = (err * err).sum() * (1.0 / err.value.size)
         loss.backward()
@@ -99,7 +99,8 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
 
 
 def policy_action(policy: PolicyParams, features: np.ndarray) -> np.ndarray:
-    return mlp_apply(policy.mlp, features)
+    with no_grad():
+        return mlp_apply(policy.mlp, features).value
 
 
 def evaluate_bc(
@@ -111,26 +112,27 @@ def evaluate_bc(
     seed: int = 0,
     horizon: Optional[int] = None,
 ) -> float:
-    """Closed-loop success rate: render, encode (frozen), act, step."""
+    """Closed-loop success rate: render, encode (frozen), act, step.
+
+    All episodes advance in lock step, so each step makes one embedding call
+    and one policy call; every episode keeps its own generator and draw order
+    (start state, then per step render noise and distractor drift).
+    """
     if episodes < 1:
         raise EmptyInputError("need at least one episode")
     horizon = horizon or world.config.h_max
     task = world.task_for_instruction(instruction)
-    psi = embed_instruction(ckpt, instruction)
-    root = np.random.SeedSequence([seed, 0xBCE])
-    wins = 0
-    for child in root.spawn(episodes):
-        rng = np.random.default_rng(child)
-        state = world.sample_start(task, rng)
-        for _ in range(horizon):
-            obs = world.render(state, rng)
-            phi = embed_frames(ckpt, obs[None])[0]
-            features = np.concatenate([phi, psi, [state.z]])
-            action = world.clamp_actions(policy_action(policy, features))
-            state = world.step(state, action)
+    psi = np.tile(embed_instructions(ckpt, [instruction]), (episodes, 1))
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence([seed, 0xBCE]).spawn(episodes)]
+    states = [world.sample_start(task, rng) for rng in rngs]
+    for _ in range(horizon):
+        phi = embed_frames(ckpt, np.stack([world.render(s, rng) for s, rng in zip(states, rngs)]))
+        features = np.concatenate([phi, psi, [[s.z] for s in states]], axis=1)
+        actions = world.clamp_actions(policy_action(policy, features))
+        states = [world.step(s, a) for s, a in zip(states, actions)]
+        for state, rng in zip(states, rngs):
             world.advance_distractors(state, rng)
-        wins += world.success(state, instruction)
-    return wins / episodes
+    return sum(world.success(s, instruction) for s in states) / episodes
 
 
 def evaluate_bc_all(
@@ -196,7 +198,7 @@ def load_policy(path) -> PolicyParams:
             config=BcConfig(**cfg),
             loss_history=arrays["loss_history"],
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, NumericalError) as exc:
         raise CheckpointFormatError(f"malformed policy checkpoint {path}: missing or invalid {exc}") from exc
 
 

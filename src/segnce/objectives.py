@@ -32,7 +32,7 @@ from .autodiff import (
     concat_rows,
     cosine_matrix,
     cosine_similarity,
-    logsumexp_axis,
+    logsumexp,
 )
 from .errors import EmptyInputError, ShapeMismatchError
 
@@ -69,7 +69,7 @@ class BatchEmbeddings:
     """Per-segment embeddings a batch loss consumes.
 
     ``starts``/``goals``/``instructions`` are (B, K) matrices (Tensor while
-    training, ndarray for pure evaluation). ``intermediates`` holds the
+    training; ndarrays are lifted as constants). ``intermediates`` holds the
     k+1 evenly spaced frame embeddings for multi-frame variants, as a list
     of (B, K) matrices ordered along the segment. ``single`` is the one
     randomly chosen frame per trajectory used by the frame-alignment arm.
@@ -80,13 +80,6 @@ class BatchEmbeddings:
     instructions: "Tensor | np.ndarray | None" = None
     intermediates: Optional[list] = None
     single: "Tensor | np.ndarray | None" = None
-
-    @property
-    def batch_size(self) -> int:
-        for m in (self.instructions, self.starts, self.single):
-            if m is not None:
-                return (m.value if isinstance(m, Tensor) else m).shape[0]
-        raise EmptyInputError("batch embeddings are empty")
 
 
 # ---- rewards ---------------------------------------------------------------------
@@ -137,7 +130,7 @@ def multiframe_transition_reward(frames, psi_l, k: int):
 # ---- batch losses ----------------------------------------------------------------
 
 
-def infonce_pair_loss(logits: "Tensor | np.ndarray"):
+def infonce_pair_loss(logits) -> Tensor:
     """Two-sided contrastive loss over a (B, B) logit matrix.
 
     ``logits[j, i]`` scores segment j under instruction i. For each i the
@@ -145,22 +138,15 @@ def infonce_pair_loss(logits: "Tensor | np.ndarray"):
     the i-th row (all instructions); with all logits equal the value is
     exactly 2*ln(B).
     """
-    values = logits.value if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ShapeMismatchError(f"logits must be square, got {values.shape}")
-    b = values.shape[0]
+    logits = Tensor._lift(logits)
+    if logits.value.ndim != 2 or logits.value.shape[0] != logits.value.shape[1]:
+        raise ShapeMismatchError(f"logits must be square, got {logits.value.shape}")
+    b = logits.value.shape[0]
     if b < 2:
         raise EmptyInputError(f"contrastive loss needs a batch of >= 2, got {b}")
-    if isinstance(logits, Tensor):
-        col = logsumexp_axis(logits, axis=0)
-        row = logsumexp_axis(logits, axis=1)
-        matched = logits.diagonal()
-        return (col.sum() + row.sum() - 2.0 * matched.sum()) * (1.0 / b)
-    m0 = values.max(axis=0, keepdims=True)
-    col = np.log(np.exp(values - m0).sum(axis=0)) + m0[0]
-    m1 = values.max(axis=1, keepdims=True)
-    row = np.log(np.exp(values - m1).sum(axis=1)) + m1[:, 0]
-    return float((col.sum() + row.sum() - 2.0 * np.trace(values)) / b)
+    col = logsumexp(logits, axis=0)
+    row = logsumexp(logits, axis=1)
+    return (col.sum() + row.sum() - 2.0 * logits.diagonal().sum()) * (1.0 / b)
 
 
 def segment_logits(spec: ObjectiveSpec, batch: BatchEmbeddings):

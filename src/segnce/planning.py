@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import embed_frames, embed_instruction, frame_similarity
+from .analysis import embed_frames, embed_instructions, frame_similarity
 from .encoders import Instruction
 from .errors import EmptyInputError, ShapeMismatchError
 from .training import Checkpoint
@@ -78,7 +78,7 @@ def embedding_returns(
         raise ShapeMismatchError(f"proposals must be (n, horizon, {world.config.d_act}), got {proposals.shape}")
     zs = _roll_z(world, start_state.task, start_state.z, proposals)
     obs = world.render_batch(start_state.task, zs.reshape(-1), start_state.distractors)
-    sim = frame_similarity(embed_frames(ckpt, obs), embed_instruction(ckpt, instruction)).reshape(zs.shape)
+    sim = frame_similarity(embed_frames(ckpt, obs), embed_instructions(ckpt, [instruction])[0]).reshape(zs.shape)
     return np.sum(np.diff(sim, axis=1) * gamma ** np.arange(proposals.shape[1]), axis=1)
 
 

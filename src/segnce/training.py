@@ -145,7 +145,7 @@ def _embed_batch(encoders: Encoders, spec: ObjectiveSpec, segments, rng) -> Batc
     each distinct instruction once."""
     distinct = list(dict.fromkeys(s.instruction for s in segments))
     row = {instruction: i for i, instruction in enumerate(distinct)}
-    instructions = encode_instructions(encoders.language, distinct, tensor=True).take_rows(
+    instructions = encode_instructions(encoders.language, distinct).take_rows(
         [row[s.instruction] for s in segments]
     )
     if spec.variant == "frame-align":
@@ -153,7 +153,7 @@ def _embed_batch(encoders: Encoders, spec: ObjectiveSpec, segments, rng) -> Batc
     else:
         positions = [s.frame_indices(spec.hops) for s in segments]
     frames = np.stack([s.trajectory.observations[p] for s, p in zip(segments, positions)], axis=1)
-    embedded = encode_observations(encoders.vision, frames.reshape(-1, frames.shape[2]), tensor=True)
+    embedded = encode_observations(encoders.vision, frames.reshape(-1, frames.shape[2]))
     b = len(segments)
     mats = [embedded.slice_rows(i * b, (i + 1) * b) for i in range(frames.shape[0])]
     if spec.variant == "frame-align":
@@ -365,5 +365,5 @@ def load_checkpoint(path) -> Checkpoint:
             iteration=int(meta["iteration"]),
             history=arrays["history"],
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, NumericalError) as exc:
         raise CheckpointFormatError(f"malformed encoder checkpoint {path}: missing or invalid {exc}") from exc

@@ -51,8 +51,8 @@ def loss_gradient_error(variant: str, seed: int, batch_size: int = 4, step: floa
             biases=pieces[2 * n_vis + 1 + n_proj :],
         )
         model = Encoders(vision, InstructionEncoderParams(pieces[2 * n_vis], projection), config)
-        psi = encode_instructions(model.language, instructions, tensor=True)
-        embs = [encode_observations(model.vision, fr, tensor=True) for fr in frames]
+        psi = encode_instructions(model.language, instructions)
+        embs = [encode_observations(model.vision, fr) for fr in frames]
         be = BatchEmbeddings(
             starts=embs[0],
             goals=embs[-1],

@@ -10,7 +10,7 @@ from segnce.analysis import (
     random_frame_pair_similarity,
     reward_curve,
     embed_frames,
-    embed_instruction,
+    embed_instructions,
     reward_heatmap,
     write_curve_csv,
     write_heatmap_csv,
@@ -133,7 +133,7 @@ class TestHeatmap:
                 return embed_frames(ckpt, seg.trajectory.observations[t][None])[0]
 
             for value, ins in zip(row, world.instructions()):
-                psi = embed_instruction(ckpt, ins)
+                psi = embed_instructions(ckpt, [ins])[0]
                 if variant == "p":
                     ref = segment_reward_potential(phi(seg.start), phi(seg.goal), psi)
                 elif variant == "t":

@@ -283,6 +283,22 @@ def _unknown_world_key(tmp, dataset_path, ckpt_path):
     return path
 
 
+def _nan_checkpoint(tmp, dataset_path, ckpt_path):
+    from segnce.training import read_array_archive, write_array_archive
+
+    meta, arrays = read_array_archive(ckpt_path, "encoder-checkpoint")
+    arrays["vision/w0"][0, 0] = np.nan
+    path = tmp / "nan.ckpt"
+    write_array_archive(path, meta, arrays)
+    return ["heatmap", "--ckpt", str(path), "--data", str(dataset_path), "--out", str(tmp / "h.csv")]
+
+
+def _heatmap_lengths(lengths):
+    return lambda tmp, data, ckpt: [
+        "heatmap", "--ckpt", str(ckpt), "--data", str(data), "--lengths", lengths, "--out", str(tmp / "h.csv")
+    ]
+
+
 MALFORMED_INPUTS = {
     "config-not-object": _config_file("5"),
     "config-str-count": _config_file('{"count": "5"}'),
@@ -299,12 +315,21 @@ MALFORMED_INPUTS = {
     "data-binary": _heatmap_data(_binary_file),
     "data-checkpoint": _heatmap_data(lambda tmp, data, ckpt: ckpt),
     "data-unknown-world-key": _heatmap_data(_unknown_world_key),
-    "heatmap-lengths-not-int": lambda tmp, data, ckpt: [
-        "heatmap", "--ckpt", str(ckpt), "--data", str(data), "--lengths", "2,x", "--out", str(tmp / "h.csv")
-    ],
+    "heatmap-lengths-not-int": _heatmap_lengths("2,x"),
+    "heatmap-lengths-zero": _heatmap_lengths("0"),
+    "heatmap-lengths-negative": _heatmap_lengths("2,-3"),
+    "heatmap-ckpt-nan": _nan_checkpoint,
     "eval-lcbc-hidden-not-int": lambda tmp, data, ckpt: [
         "eval-lcbc", "--ckpt", str(ckpt), "--demos", str(data), "--hidden", "a,b", "--out", str(tmp / "bc.json")
     ],
+}
+
+
+# what the message must name, where exit code 1 alone would not show it
+MALFORMED_MESSAGES = {
+    "heatmap-lengths-zero": "--lengths entry '0'",
+    "heatmap-lengths-negative": "--lengths entry '-3'",
+    "heatmap-ckpt-nan": "nan.ckpt",
 }
 
 
@@ -312,4 +337,6 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_one(tmp_path, dataset_path, ckpt_path, case, capsys):
     args = MALFORMED_INPUTS[case](tmp_path, dataset_path, ckpt_path)
     assert run_cli(args) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert MALFORMED_MESSAGES.get(case, "") in err

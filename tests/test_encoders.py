@@ -8,9 +8,7 @@ from segnce.encoders import (
     EncoderConfig,
     Instruction,
     InstructionEncoderParams,
-    encode_instruction,
     encode_instructions,
-    encode_observation,
     encode_observations,
     init_params,
 )
@@ -21,20 +19,20 @@ def test_zero_params_zero_embedding():
     enc = init_params(EncoderConfig(d_obs=4, embed_dim=3, vision_hidden=(5,), vocab_size=4), seed=0)
     for leaf in enc.vision.leaves():
         leaf.value[...] = 0.0
-    np.testing.assert_array_equal(encode_observation(enc.vision, np.ones(4)), np.zeros(3))
+    np.testing.assert_array_equal(encode_observations(enc.vision, np.ones(4)).value, np.zeros(3))
 
 
 def test_identity_single_layer_passthrough():
     vision = MlpParams(widths=[3, 3], weights=[Tensor(np.eye(3))], biases=[Tensor(np.zeros(3))])
     obs = np.array([0.5, -1.0, 2.0])
-    np.testing.assert_allclose(encode_observation(vision, obs), obs)
+    np.testing.assert_allclose(encode_observations(vision, obs).value, obs)
 
 
 def test_encoding_deterministic_across_rebuilds():
     config = EncoderConfig()
     obs = np.linspace(-1, 1, config.d_obs)
-    a = encode_observation(init_params(config, seed=17).vision, obs)
-    b = encode_observation(init_params(config, seed=17).vision, obs)
+    a = encode_observations(init_params(config, seed=17).vision, obs).value
+    b = encode_observations(init_params(config, seed=17).vision, obs).value
     np.testing.assert_array_equal(a, b)
 
 
@@ -56,7 +54,7 @@ def test_zero_language_params_zero_embedding():
     enc.language.table.value[...] = 0.0
     for leaf in enc.language.projection.leaves():
         leaf.value[...] = 0.0
-    out = encode_instruction(enc.language, Instruction(0, 5))
+    out = encode_instructions(enc.language, [Instruction(0, 5)]).value[0]
     np.testing.assert_array_equal(out, np.zeros(enc.config.embed_dim))
 
 
@@ -64,30 +62,27 @@ def test_identical_tokens_identity_projection():
     table = Tensor(np.tile(np.array([1.0, 2.0]), (3, 1)))
     projection = MlpParams(widths=[2, 2], weights=[Tensor(np.eye(2))], biases=[Tensor(np.zeros(2))])
     params = InstructionEncoderParams(table=table, projection=projection)
-    np.testing.assert_allclose(encode_instruction(params, Instruction(0, 2)), [1.0, 2.0])
+    np.testing.assert_allclose(encode_instructions(params, [Instruction(0, 2)]).value, [[1.0, 2.0]])
 
 
 def test_token_order_symmetry():
     enc = init_params(EncoderConfig(vocab_size=8), seed=3)
-    a = encode_instruction(enc.language, Instruction(1, 6))
-    b = encode_instruction(enc.language, Instruction(6, 1))
+    a, b = encode_instructions(enc.language, [Instruction(1, 6), Instruction(6, 1)]).value
     np.testing.assert_array_equal(a, b)
 
 
 def test_unknown_token_raises():
     enc = init_params(EncoderConfig(vocab_size=4), seed=0)
     with pytest.raises(VocabularyError):
-        encode_instruction(enc.language, Instruction(0, 4))
+        encode_instructions(enc.language, [Instruction(0, 4)])
 
 
 def test_batched_instruction_encoding_matches_single():
     enc = init_params(EncoderConfig(vocab_size=12), seed=1)
     instrs = [Instruction(0, 8), Instruction(3, 9), Instruction(7, 11)]
-    batch = encode_instructions(enc.language, instrs)
+    batch = encode_instructions(enc.language, instrs).value
     for i, ins in enumerate(instrs):
-        np.testing.assert_allclose(batch[i], encode_instruction(enc.language, ins), atol=1e-12)
-    tensor_batch = encode_instructions(enc.language, instrs, tensor=True)
-    np.testing.assert_allclose(tensor_batch.value, batch, atol=1e-12)
+        np.testing.assert_allclose(batch[i], encode_instructions(enc.language, [ins]).value[0], atol=1e-12)
 
 
 def test_embedding_norms_nonzero_over_seeds():
@@ -96,7 +91,7 @@ def test_embedding_norms_nonzero_over_seeds():
     obs = rng.normal(size=config.d_obs)
     for seed in range(100):
         enc = init_params(config, seed)
-        norm = float(np.linalg.norm(encode_observation(enc.vision, obs)))
+        norm = float(np.linalg.norm(encode_observations(enc.vision, obs).value))
         assert np.isfinite(norm) and norm > 1e-6
 
 
@@ -104,6 +99,6 @@ def test_batched_observation_encoding_matches_single():
     config = EncoderConfig(d_obs=6, embed_dim=4, vision_hidden=(8,), vocab_size=4)
     enc = init_params(config, seed=2)
     xs = np.random.default_rng(3).normal(size=(5, 6))
-    batch = encode_observations(enc.vision, xs)
+    batch = encode_observations(enc.vision, xs).value
     for i in range(5):
-        np.testing.assert_allclose(batch[i], encode_observation(enc.vision, xs[i]), atol=1e-12)
+        np.testing.assert_allclose(batch[i], encode_observations(enc.vision, xs[i]).value, atol=1e-12)

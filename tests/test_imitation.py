@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from segnce.analysis import embed_frames, embed_instructions
 from segnce.encoders import Instruction
 from segnce.errors import CheckpointFormatError, EmptyInputError
 from segnce.imitation import (
@@ -119,6 +120,42 @@ def test_evaluation_deterministic(tiny_ckpt, world, demos):
     assert a == b
 
 
+def one_episode_at_a_time(policy, ckpt, world, instruction, episodes, seed):
+    """Reference closed loop: each episode runs to the end before the next
+    starts, with one-row embedding and policy calls."""
+    psi = embed_instructions(ckpt, [instruction])[0]
+    finals = []
+    for child in np.random.SeedSequence([seed, 0xBCE]).spawn(episodes):
+        rng = np.random.default_rng(child)
+        state = world.sample_start(world.task_for_instruction(instruction), rng)
+        for _ in range(world.config.h_max):
+            phi = embed_frames(ckpt, world.render(state, rng)[None])[0]
+            action = world.clamp_actions(policy_action(policy, np.concatenate([phi, psi, [state.z]])))
+            state = world.step(state, action)
+            world.advance_distractors(state, rng)
+        finals.append((world.success(state, instruction), state.z))
+    return finals
+
+
+def test_lock_step_matches_one_episode_at_a_time(tiny_ckpt, world, demos, monkeypatch):
+    policy = train_bc(tiny_ckpt, demos, BcConfig(steps=300, seed=0))
+    for task in (0, 3, 6):
+        instruction = world.instruction_for_task(task)
+        want = one_episode_at_a_time(policy, tiny_ckpt, world, instruction, 6, seed=task)
+        finals = []
+
+        def recording_success(state, ins, success=world.success):
+            finals.append((success(state, ins), state.z))
+            return finals[-1][0]
+
+        monkeypatch.setattr(world, "success", recording_success)
+        rate = evaluate_bc(policy, tiny_ckpt, world, instruction, 6, seed=task)
+        monkeypatch.undo()
+        assert [won for won, _ in finals] == [won for won, _ in want]
+        assert rate == np.mean([won for won, _ in want])
+        np.testing.assert_allclose([z for _, z in finals], [z for _, z in want], rtol=0, atol=1e-12)
+
+
 def test_policy_round_trip(tmp_path, tiny_ckpt, demos):
     policy = train_bc(tiny_ckpt, demos, BcConfig(steps=20, seed=0))
     path = tmp_path / "policy.ckpt"
@@ -130,7 +167,8 @@ def test_policy_round_trip(tmp_path, tiny_ckpt, demos):
     np.testing.assert_array_equal(policy.loss_history, loaded.loss_history)
 
 
-@pytest.mark.parametrize("defect", ["encoder-checkpoint", "widths", "policy/w0", "widths=x", "config=x"])
+@pytest.mark.parametrize("defect", ["encoder-checkpoint", "widths", "policy/w0", "widths=x", "config=x",
+                                    "policy/w0=nan"])
 def test_malformed_policy_rejected(tmp_path, tiny_ckpt, demos, defect):
     from segnce.training import read_array_archive
 
@@ -141,13 +179,15 @@ def test_malformed_policy_rejected(tmp_path, tiny_ckpt, demos, defect):
         save_policy(train_bc(tiny_ckpt, demos, BcConfig(steps=2, seed=0)), path)
         meta, arrays = read_array_archive(path, "policy-checkpoint")
         key, _, value = defect.partition("=")
-        if key in arrays:
+        if value == "nan":
+            arrays[key][0, 0] = np.nan
+        elif key in arrays:
             del arrays[key]
         elif value:
             meta[key] = value
         else:
             del meta[key]
         write_array_archive(path, meta, arrays)
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointFormatError, match="bad.policy"):
         load_policy(path)
 

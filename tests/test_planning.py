@@ -84,7 +84,7 @@ class TestRolloutReturn:
         assert rollout_return(tiny_ckpt, world, state, actions, world.instructions()[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_gamma_one_telescopes_to_endpoint_difference(self, tiny_ckpt, world):
-        from segnce.analysis import embed_frames, embed_instruction
+        from segnce.analysis import embed_frames, embed_instructions
         from segnce.autodiff import cosine_similarity
 
         rng = np.random.default_rng(4)
@@ -96,7 +96,7 @@ class TestRolloutReturn:
 
         # replay the latent dynamics and compare endpoint similarities
         end = execute_plan(world, state, actions)
-        psi = embed_instruction(tiny_ckpt, ins)
+        psi = embed_instructions(tiny_ckpt, [ins])[0]
         obs0 = world.render_batch(task, np.array([state.z]), state.distractors)[0]
         obsT = world.render_batch(task, np.array([end.z]), state.distractors)[0]
         s0 = cosine_similarity(embed_frames(tiny_ckpt, obs0[None])[0], psi)

@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from segnce.autodiff import Tensor, cosine_similarity, mlp_apply
-from segnce.encoders import (
-    encode_instruction,
-    encode_instructions,
-    encode_observation,
-    encode_observations,
-    init_params,
-)
+from segnce.encoders import encode_instructions, encode_observations, init_params
 from segnce.errors import CheckpointFormatError, TrainingDivergedError
 from segnce.objectives import (
     VARIANTS,
@@ -163,7 +157,7 @@ class TestLeanGraph:
         bit for bit, those of the same graph with a differentiable input."""
         spec, enc = _encoders(small_dataset, "t")
         obs = np.stack([traj.observations[[0, -1]] for traj in small_dataset[:8]], axis=1)
-        psi = encode_instructions(enc.language, [t.instruction for t in small_dataset[:8]], tensor=True)
+        psi = encode_instructions(enc.language, [t.instruction for t in small_dataset[:8]])
 
         def parameter_grads(embed):
             batch = BatchEmbeddings(starts=embed(obs[0]), goals=embed(obs[1]), instructions=psi)
@@ -171,7 +165,7 @@ class TestLeanGraph:
             loss.backward()
             return loss, [leaf.grad.copy() for leaf in enc.leaves()]
 
-        loss, grads = parameter_grads(lambda o: encode_observations(enc.vision, o, tensor=True))
+        loss, grads = parameter_grads(lambda o: encode_observations(enc.vision, o))
         params = {id(leaf) for leaf in enc.leaves()}
         leaves = [node for node in loss._topo_order() if not node._parents]
         inputs = [node for node in leaves if node.value.shape == obs[0].shape]
@@ -207,7 +201,7 @@ def test_stacked_embedding_matches_reference_rewards(small_dataset, variant):
     logits = segment_logits(spec, batch).value
 
     def phi(segment, index):
-        return encode_observation(enc.vision, segment.trajectory.observations[index])
+        return encode_observations(enc.vision, segment.trajectory.observations[index]).value
 
     reward = {
         "p": lambda s, psi: segment_reward_potential(phi(s, s.start), phi(s, s.goal), psi),
@@ -219,7 +213,7 @@ def test_stacked_embedding_matches_reference_rewards(small_dataset, variant):
         if variant == "frame-align":
             frame = phi(segment, frame_rng.integers(0, segment.trajectory.h))
         for i, labelled in enumerate(segments):
-            psi = encode_instruction(enc.language, labelled.instruction)
+            psi = encode_instructions(enc.language, [labelled.instruction]).value[0]
             want = cosine_similarity(frame, psi) if reward is None else reward(segment, psi)
             assert abs(logits[j, i] - want) <= 1e-12
 
@@ -313,7 +307,7 @@ def _write_raw_archive(path, header: dict) -> None:
 @pytest.mark.parametrize(
     "defect",
     ["no-arrays", "no-meta", "encoder_config", "objective", "train_config", "iteration", "vision/w0",
-     "encoder_config=x", "iteration=x"],
+     "encoder_config=x", "iteration=x", "vision/w0=nan"],
 )
 def test_malformed_checkpoint_rejected(tmp_path, small_dataset, defect):
     path = tmp_path / "bad.ckpt"
@@ -325,13 +319,15 @@ def test_malformed_checkpoint_rejected(tmp_path, small_dataset, defect):
         save_checkpoint(train(small_config(iterations=2), small_dataset), path)
         meta, arrays = read_array_archive(path, "encoder-checkpoint")
         key, _, value = defect.partition("=")
-        if key in arrays:
+        if value == "nan":
+            arrays[key][0, 0] = np.nan
+        elif key in arrays:
             del arrays[key]
         elif value:
             meta[key] = value
         else:
             del meta[key]
         write_array_archive(path, meta, arrays)
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointFormatError, match="bad.ckpt"):
         load_checkpoint(path)
 
