@@ -5,6 +5,13 @@ Every subcommand resolves its configuration as defaults < config file <
 explicit flags, writes its outputs plus a manifest JSON beside the main
 output, and can be re-executed byte-identically from that manifest alone
 (``segnce replay --manifest ...``). Outputs carry no timestamps.
+
+Each config key is declared once, as an :class:`Option` in its subcommand's
+row of ``_SUBCOMMANDS``, which gives its default, type, choices and help; its
+flag is ``--`` plus the key with dashes for underscores. A default that
+mirrors a library config field (``WorldConfig``, ``TrainConfig`` and its
+``ObjectiveSpec``, ``PlannerConfig``, ``BcConfig``) is read from that field.
+The parser, ``_DEFAULTS`` and the config type check are built from the rows.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats as sstats
@@ -30,11 +39,29 @@ log = logging.getLogger("segnce")
 
 MANIFEST_SUFFIX = ".manifest.json"
 
+REQUIRED = object()  # the default of an option whose flag must be given
+
+
+class Option(NamedTuple):
+    """One config key of a subcommand. ``default`` is REQUIRED, None for an
+    optional string (the only key a config may set to null), or a value of
+    the option's type; ``kind`` gives the type where there is no default."""
+
+    key: str
+    default: object = REQUIRED
+    kind: type | None = None
+    choices: tuple | None = None
+    help: str | None = None
+
+    @property
+    def value_type(self) -> type:
+        if self.kind is not None:
+            return self.kind
+        return str if self.default is None or self.default is REQUIRED else type(self.default)
+
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _write_manifest(subcommand: str, config: dict, inputs: list, outputs: list) -> Path:
@@ -50,59 +77,54 @@ def _write_manifest(subcommand: str, config: dict, inputs: list, outputs: list) 
     return path
 
 
-def _check_config(config, defaults: dict, source) -> dict:
-    """A config is a JSON object of known keys, each value of its default's
-    type: int for an int, int or float for a float, str where the default is
-    None (or null for the optional keys)."""
+def _check_config(config, options: dict[str, Option], source) -> dict:
+    """A config is a JSON object of known keys, each value of its option's
+    type (an int serves for a float), or null for an optional string."""
     if not isinstance(config, dict):
         raise EmptyInputError(f"config in {source} is not a JSON object: {config!r}")
     for key, value in config.items():
-        if key not in defaults:
+        if key not in options:
             raise EmptyInputError(f"unknown config key {key!r} in {source}")
-        default = defaults[key]
-        if default is None:
-            types = (str, type(None)) if key in ("instruction", "policy_out") else str
-        else:
-            types = (int, float) if isinstance(default, float) else type(default)
+        option = options[key]
+        if value is None and option.default is None:
+            continue
+        types = (int, float) if option.value_type is float else option.value_type
         if isinstance(value, bool) or not isinstance(value, types):
             raise EmptyInputError(f"config key {key!r} in {source} has a value of the wrong type: {value!r}")
     return config
 
 
-def _resolve(defaults: dict, config_file: str | None, flags: dict) -> dict:
+def _resolve(subcommand: str, config_file: str | None, flags: dict) -> dict:
     """defaults < config file < explicitly set flags."""
-    resolved = dict(defaults)
+    resolved = dict(_DEFAULTS[subcommand])
     if config_file:
         try:
             loaded = json.loads(Path(config_file).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise EmptyInputError(f"unreadable config file {config_file}: {exc}") from exc
-        resolved.update(_check_config(loaded, defaults, config_file))
+        resolved.update(_check_config(loaded, _OPTIONS[subcommand], config_file))
     resolved.update({k: v for k, v in flags.items() if v is not None})
     return resolved
 
 
+# WorldConfig field -> config key; the world's own seed is "world_seed" beside the data seed
+_WORLD_KEYS = {f.name: "world_seed" if f.name == "seed" else f.name for f in fields(WorldConfig)}
+
+
 def _world_from_cfg(cfg: dict) -> WorldConfig:
-    return WorldConfig(
-        task_pairs=cfg["task_pairs"],
-        d_obs=cfg["d_obs"],
-        noise=cfg["noise"],
-        h_min=cfg["h_min"],
-        h_max=cfg["h_max"],
-        d_act=cfg["d_act"],
-        seed=cfg["world_seed"],
-    )
+    return WorldConfig(**{name: cfg[key] for name, key in _WORLD_KEYS.items()})
 
 
-WORLD_DEFAULTS = {
-    "task_pairs": 4,
-    "d_obs": 32,
-    "noise": 0.05,
-    "h_min": 20,
-    "h_max": 40,
-    "d_act": 2,
-    "world_seed": 0,
-}
+def _world_for(ckpt, wc: WorldConfig, source: str | None = None) -> World:
+    """The world of ``wc``, once its frame width and vocabulary are the ones
+    the checkpoint was trained for. ``source`` is the data file ``wc`` came
+    from; without one, a mismatch names the world flag."""
+    enc = ckpt.encoders.config
+    for flag, what, ours, theirs in (("--d-obs", "d_obs", wc.d_obs, enc.d_obs),
+                                     ("--task-pairs", "vocab_size", wc.vocab_size, enc.vocab_size)):
+        if ours != theirs:
+            raise EmptyInputError(f"{source or flag} gives {what} {ours}, but the checkpoint has {theirs}")
+    return World(wc)
 
 
 # ---- subcommand runners (replayable from their resolved config) ---------------------
@@ -169,10 +191,10 @@ def _run_sampling_stats(cfg: dict) -> tuple[list, list]:
     return [], [out]
 
 
-def _load_ckpt_and_world(cfg: dict):
+def _load_ckpt_and_world(cfg: dict, data_key: str = "data"):
     ckpt = load_checkpoint(cfg["ckpt"])
-    wc, dataset = load_dataset(cfg["data"])
-    return ckpt, World(wc), dataset
+    wc, dataset = load_dataset(cfg[data_key])
+    return ckpt, _world_for(ckpt, wc, cfg[data_key]), dataset
 
 
 def _run_reward_curve(cfg: dict) -> tuple[list, list]:
@@ -254,8 +276,7 @@ def _run_first_image_stats(cfg: dict) -> tuple[list, list]:
 
 def _run_plan(cfg: dict) -> tuple[list, list]:
     ckpt = load_checkpoint(cfg["ckpt"])
-    wc = _world_from_cfg(cfg)
-    world = World(wc)
+    world = _world_for(ckpt, _world_from_cfg(cfg))
     instructions = (
         [world.parse_instruction(cfg["instruction"])] if cfg["instruction"] else world.instructions()
     )
@@ -277,9 +298,7 @@ def _run_plan(cfg: dict) -> tuple[list, list]:
 
 
 def _run_eval_lcbc(cfg: dict) -> tuple[list, list]:
-    ckpt = load_checkpoint(cfg["ckpt"])
-    wc, demos = load_dataset(cfg["demos"])
-    world = World(wc)
+    ckpt, world, demos = _load_ckpt_and_world(cfg, "demos")
     bc = imitation.BcConfig(
         hidden=tuple(_comma_list(cfg, "hidden")),
         learning_rate=cfg["lr"],
@@ -298,21 +317,67 @@ def _run_eval_lcbc(cfg: dict) -> tuple[list, list]:
     return [cfg["ckpt"], cfg["demos"]], [out]
 
 
-_RUNNERS = {
-    "gen-world": _run_gen_world,
-    "train": _run_train,
-    "sampling-stats": _run_sampling_stats,
-    "reward-curve": _run_reward_curve,
-    "heatmap": _run_heatmap,
-    "first-image-stats": _run_first_image_stats,
-    "plan": _run_plan,
-    "eval-lcbc": _run_eval_lcbc,
+# ---- the option table: (runner, help, options) per subcommand --------------------------
+
+_WORLD, _TRAIN, _PLANNER, _BC = WorldConfig(), TrainConfig(), planning.PlannerConfig(), imitation.BcConfig()
+_WORLD_OPTIONS = [Option(key, getattr(_WORLD, name)) for name, key in _WORLD_KEYS.items()]
+
+_SUBCOMMANDS = {
+    "gen-world": (_run_gen_world, "generate a synthetic trajectory dataset", [
+        Option("seed", 0), *_WORLD_OPTIONS, Option("out"), Option("count", 200),
+    ]),
+    "train": (_run_train, "train encoders on a dataset", [
+        Option("seed", _TRAIN.seed), Option("data"),
+        Option("objective", _TRAIN.objective.variant, choices=VARIANTS), Option("out"),
+        Option("iterations", _TRAIN.iterations), Option("batch_size", _TRAIN.batch_size),
+        Option("lr", _TRAIN.learning_rate), Option("optimizer", _TRAIN.optimizer, choices=("adam", "sgd")),
+        Option("weight_decay", _TRAIN.weight_decay), Option("embed_dim", _TRAIN.objective.embed_dim),
+        Option("temperature", _TRAIN.objective.temperature),
+        Option("ckpt_interval", _TRAIN.checkpoint_interval,
+               help="persist a snapshot every N iterations (0: final only)"),
+    ]),
+    "sampling-stats": (_run_sampling_stats, "analytic vs empirical goal-index statistics", [
+        Option("seed", 0), Option("h", kind=int), Option("samples", 1_000_000), Option("out"),
+    ]),
+    "reward-curve": (_run_reward_curve, "per-frame similarity curve for one trajectory", [
+        Option("seed", 0), Option("ckpt"), Option("data"), Option("traj_index", 0),
+        Option("instruction", None, help="e.g. 'open door'; defaults to the trajectory's own"),
+        Option("out"),
+    ]),
+    "heatmap": (_run_heatmap, "segment-by-instruction reward matrix", [
+        Option("seed", 0), Option("ckpt"), Option("data"),
+        Option("lengths", "2,5,10,full", help="comma list of segment lengths; 'full' = whole trajectory"),
+        Option("out"),
+    ]),
+    "first-image-stats": (_run_first_image_stats, "first-frame embedding clustering statistics", [
+        Option("seed", 0), Option("ckpt"), Option("data"), Option("out"),
+    ]),
+    "plan": (_run_plan, "open-loop planning evaluation", [
+        Option("seed", 0), *_WORLD_OPTIONS, Option("ckpt"),
+        Option("instruction", None, help="restrict to one instruction"),
+        Option("horizon", _PLANNER.horizon), Option("sequences", _PLANNER.n_sequences),
+        Option("iterations", _PLANNER.iterations), Option("temperature", _PLANNER.temperature),
+        Option("gamma", _PLANNER.gamma), Option("noise_scale", _PLANNER.noise_scale), Option("episodes", 8),
+        Option("reward", "embedding", choices=("embedding", "oracle", "random")), Option("out"),
+    ]),
+    "eval-lcbc": (_run_eval_lcbc, "train and evaluate a behavior-cloning policy", [
+        Option("seed", _BC.seed), Option("ckpt"), Option("demos"),
+        Option("hidden", ",".join(map(str, _BC.hidden)), help="comma list of hidden widths"),
+        Option("lr", _BC.learning_rate), Option("batch_size", _BC.batch_size), Option("steps", _BC.steps),
+        Option("episodes", 25), Option("policy_out", None), Option("out"),
+    ]),
+}
+
+_OPTIONS = {name: {o.key: o for o in options} for name, (_, _, options) in _SUBCOMMANDS.items()}
+_DEFAULTS = {
+    name: {key: None if o.default is REQUIRED else o.default for key, o in options.items()}
+    for name, options in _OPTIONS.items()
 }
 
 
 def run_resolved(subcommand: str, cfg: dict) -> Path:
     """Execute a subcommand from its fully resolved config; returns the manifest path."""
-    inputs, outputs = _RUNNERS[subcommand](cfg)
+    inputs, outputs = _SUBCOMMANDS[subcommand][0](cfg)
     return _write_manifest(subcommand, cfg, inputs, outputs)
 
 
@@ -327,10 +392,10 @@ def replay_manifest(manifest_path, out_map: dict | None = None) -> Path:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SegnceError(f"unreadable manifest {manifest_path}: {exc}") from exc
     subcommand = manifest.get("subcommand") if isinstance(manifest, dict) else None
-    if not isinstance(subcommand, str) or subcommand not in _RUNNERS:
+    if not isinstance(subcommand, str) or subcommand not in _SUBCOMMANDS:
         raise SegnceError(f"manifest {manifest_path} names no known subcommand")
-    defaults = _DEFAULTS[subcommand]
-    missing = set(defaults) - set(_check_config(manifest.get("config"), defaults, manifest_path))
+    options = _OPTIONS[subcommand]
+    missing = set(options) - set(_check_config(manifest.get("config"), options, manifest_path))
     if missing:
         raise SegnceError(f"config in manifest {manifest_path} lacks keys {sorted(missing)}")
     inputs = manifest.get("inputs")
@@ -350,161 +415,23 @@ def replay_manifest(manifest_path, out_map: dict | None = None) -> Path:
 # ---- argument parsing -----------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", default=None, help="JSON file of config overrides")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--quiet", action="store_true")
-    p.add_argument("--verbose", action="store_true")
-
-
-def _add_world_flags(p: argparse.ArgumentParser):
-    p.add_argument("--task-pairs", dest="task_pairs", type=int, default=None)
-    p.add_argument("--d-obs", dest="d_obs", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--h-min", dest="h_min", type=int, default=None)
-    p.add_argument("--h-max", dest="h_max", type=int, default=None)
-    p.add_argument("--d-act", dest="d_act", type=int, default=None)
-    p.add_argument("--world-seed", dest="world_seed", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segnce",
         description="Segment-contrastive representation learning and its downstream consumers",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("gen-world", help="generate a synthetic trajectory dataset")
-    _add_common(p)
-    _add_world_flags(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=None)
-
-    p = sub.add_parser("train", help="train encoders on a dataset")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--objective", choices=VARIANTS, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--ckpt-interval", dest="ckpt_interval", type=int, default=None,
-                   help="persist a snapshot every N iterations (0: final only)")
-
-    p = sub.add_parser("sampling-stats", help="analytic vs empirical goal-index statistics")
-    _add_common(p)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("reward-curve", help="per-frame similarity curve for one trajectory")
-    _add_common(p)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--traj-index", dest="traj_index", type=int, default=None)
-    p.add_argument("--instruction", default=None, help="e.g. 'open door'; defaults to the trajectory's own")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("heatmap", help="segment-by-instruction reward matrix")
-    _add_common(p)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--lengths", default=None, help="comma list of segment lengths; 'full' = whole trajectory")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("first-image-stats", help="first-frame embedding clustering statistics")
-    _add_common(p)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("plan", help="open-loop planning evaluation")
-    _add_common(p)
-    _add_world_flags(p)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--instruction", default=None, help="restrict to one instruction")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--sequences", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--noise-scale", dest="noise_scale", type=float, default=None)
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--reward", choices=("embedding", "oracle", "random"), default=None)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("eval-lcbc", help="train and evaluate a behavior-cloning policy")
-    _add_common(p)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--demos", required=True)
-    p.add_argument("--hidden", default=None, help="comma list of hidden widths")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--policy-out", dest="policy_out", default=None)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("replay", help="re-execute a run from its manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--quiet", action="store_true")
-    p.add_argument("--verbose", action="store_true")
-
+    for name, (_, help_text, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", default=None, help="JSON file of config overrides")
+        for o in options:
+            p.add_argument("--" + o.key.replace("_", "-"), dest=o.key, type=o.value_type, default=None,
+                           required=o.default is REQUIRED, choices=o.choices, help=o.help)
+    sub.add_parser("replay", help="re-execute a run from its manifest").add_argument("--manifest", required=True)
+    for p in sub.choices.values():
+        p.add_argument("--quiet", action="store_true")
+        p.add_argument("--verbose", action="store_true")
     return parser
-
-
-_DEFAULTS = {
-    "gen-world": {**WORLD_DEFAULTS, "seed": 0, "count": 200, "out": None},
-    "train": {
-        "data": None,
-        "objective": "t",
-        "out": None,
-        "iterations": 2000,
-        "batch_size": 64,
-        "lr": 1e-3,
-        "optimizer": "adam",
-        "weight_decay": 0.0,
-        "embed_dim": 32,
-        "temperature": 1.0,
-        "ckpt_interval": 0,
-        "seed": 0,
-    },
-    "sampling-stats": {"h": 0, "samples": 1_000_000, "seed": 0, "out": None},  # --h is required
-    "reward-curve": {"ckpt": None, "data": None, "traj_index": 0, "instruction": None, "out": None, "seed": 0},
-    "heatmap": {"ckpt": None, "data": None, "lengths": "2,5,10,full", "out": None, "seed": 0},
-    "first-image-stats": {"ckpt": None, "data": None, "out": None, "seed": 0},
-    "plan": {
-        **WORLD_DEFAULTS,
-        "ckpt": None,
-        "instruction": None,
-        "horizon": 50,
-        "sequences": 64,
-        "iterations": 1,
-        "temperature": 10.0,
-        "gamma": 1.0,
-        "noise_scale": 0.3,
-        "episodes": 8,
-        "reward": "embedding",
-        "seed": 0,
-        "out": None,
-    },
-    "eval-lcbc": {
-        "ckpt": None,
-        "demos": None,
-        "hidden": "256,256",
-        "lr": 1e-4,
-        "batch_size": 16,
-        "steps": 2000,
-        "episodes": 25,
-        "policy_out": None,
-        "seed": 0,
-        "out": None,
-    },
-}
 
 
 def main(argv=None) -> int:
@@ -518,9 +445,8 @@ def main(argv=None) -> int:
             manifest = replay_manifest(args.manifest)
             log.info("replayed into %s", manifest)
             return 0
-        defaults = _DEFAULTS[args.subcommand]
-        flags = {k: getattr(args, k) for k in defaults if hasattr(args, k)}
-        cfg = _resolve(defaults, args.config, flags)
+        flags = {key: getattr(args, key) for key in _DEFAULTS[args.subcommand]}
+        cfg = _resolve(args.subcommand, args.config, flags)
         manifest = run_resolved(args.subcommand, cfg)
         log.info("manifest: %s", manifest)
         return 0

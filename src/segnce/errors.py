@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class SegnceError(Exception):
     """Base class for all structured errors raised by this package."""
@@ -31,6 +33,13 @@ class CheckpointFormatError(SegnceError, ValueError):
 
 class DatasetFormatError(SegnceError, ValueError):
     """A dataset file is malformed or carries an unsupported version."""
+
+
+def check_number(error: type, name: str, value, positive: bool = False) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is finite and >= 0
+    (> 0 if ``positive``); a config's ``__post_init__`` calls this per field."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise error(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
 
 
 class TrainingDivergedError(SegnceError, RuntimeError):

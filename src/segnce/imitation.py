@@ -16,14 +16,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import MlpParams, Tensor, init_mlp, mlp_apply, no_grad
+from .autodiff import MlpParams, init_mlp, mlp_apply, no_grad
 from .analysis import embed_frames, embed_instructions
 from .encoders import Instruction
-from .errors import CheckpointFormatError, EmptyInputError, NumericalError
+from .errors import CheckpointFormatError, EmptyInputError, NumericalError, check_number
 from .sampling import Trajectory
 from .training import (
     Checkpoint,
     make_optimizer,
+    mlp_arrays,
+    mlp_from_arrays,
     TrainConfig,
     read_array_archive,
     write_array_archive,
@@ -40,8 +42,9 @@ class BcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise EmptyInputError("need steps >= 1, batch_size >= 1, learning_rate > 0")
+        if self.steps < 1 or self.batch_size < 1:
+            raise EmptyInputError("need steps >= 1 and batch_size >= 1")
+        check_number(EmptyInputError, "learning_rate", self.learning_rate, positive=True)
 
 
 @dataclass
@@ -177,24 +180,16 @@ def save_policy(policy: PolicyParams, path) -> None:
         "config": asdict(policy.config),
         "widths": policy.mlp.widths,
     }
-    arrays = {}
-    for i, (w, b) in enumerate(zip(policy.mlp.weights, policy.mlp.biases)):
-        arrays[f"policy/w{i}"] = w.value
-        arrays[f"policy/b{i}"] = b.value
-    arrays["loss_history"] = policy.loss_history
-    write_array_archive(path, meta, arrays)
+    write_array_archive(path, meta, {**mlp_arrays(policy.mlp, "policy/"), "loss_history": policy.loss_history})
 
 
 def load_policy(path) -> PolicyParams:
     meta, arrays = read_array_archive(path, "policy-checkpoint")
     try:
-        widths = [int(w) for w in meta["widths"]]
-        weights = [Tensor(arrays[f"policy/w{i}"].copy()) for i in range(len(widths) - 1)]
-        biases = [Tensor(arrays[f"policy/b{i}"].copy()) for i in range(len(widths) - 1)]
         cfg = dict(meta["config"])
         cfg["hidden"] = tuple(cfg["hidden"])
         return PolicyParams(
-            mlp=MlpParams(widths=widths, weights=weights, biases=biases),
+            mlp=mlp_from_arrays(arrays, "policy/", [int(w) for w in meta["widths"]]),
             config=BcConfig(**cfg),
             loss_history=arrays["loss_history"],
         )

@@ -34,7 +34,7 @@ from .autodiff import (
     cosine_similarity,
     logsumexp,
 )
-from .errors import EmptyInputError, ShapeMismatchError
+from .errors import EmptyInputError, ShapeMismatchError, check_number
 
 VARIANTS = ("p", "t", "t4", "t8", "frame-align")
 _MULTIFRAME_HOPS = {"t4": 4, "t8": 8}
@@ -51,8 +51,7 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ShapeMismatchError(f"unknown objective variant {self.variant!r}; pick from {VARIANTS}")
-        if self.temperature <= 0:
-            raise ShapeMismatchError("temperature must be positive")
+        check_number(ShapeMismatchError, "temperature", self.temperature, positive=True)
 
     @property
     def hops(self) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import embed_frames, embed_instructions, frame_similarity
 from .encoders import Instruction
-from .errors import EmptyInputError, ShapeMismatchError
+from .errors import EmptyInputError, ShapeMismatchError, check_number
 from .training import Checkpoint
 from .world import STEP_GAIN, LatentState, World
 
@@ -41,8 +41,10 @@ class PlannerConfig:
     def __post_init__(self):
         if self.horizon < 1 or self.n_sequences < 2 or self.iterations < 1:
             raise EmptyInputError("need horizon >= 1, n_sequences >= 2, iterations >= 1")
-        if self.temperature <= 0 or not (0 < self.gamma <= 1):
-            raise EmptyInputError("need temperature > 0 and gamma in (0, 1]")
+        if not (0 < self.gamma <= 1):
+            raise EmptyInputError("need gamma in (0, 1]")
+        check_number(EmptyInputError, "temperature", self.temperature, positive=True)
+        check_number(EmptyInputError, "noise_scale", self.noise_scale)
 
 
 def _roll_z(world: World, task: int, z0: float, actions: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ from .errors import (
     EmptyInputError,
     NumericalError,
     TrainingDivergedError,
+    check_number,
 )
 from .objectives import BatchEmbeddings, ObjectiveSpec, batch_loss
 from .sampling import Trajectory, sample_batch
@@ -61,8 +62,10 @@ class TrainConfig:
     encoder: Optional[EncoderConfig] = None
 
     def __post_init__(self):
-        if self.iterations < 1 or self.batch_size < 2 or self.learning_rate < 0:
-            raise EmptyInputError("need iterations >= 1, batch_size >= 2, learning_rate >= 0")
+        if self.iterations < 1 or self.batch_size < 2:
+            raise EmptyInputError("need iterations >= 1 and batch_size >= 2")
+        check_number(EmptyInputError, "learning_rate", self.learning_rate)
+        check_number(EmptyInputError, "weight_decay", self.weight_decay)
         if self.optimizer not in ("adam", "sgd"):
             raise EmptyInputError(f"unknown optimizer {self.optimizer!r}")
 
@@ -302,38 +305,37 @@ def read_array_archive(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
-def _encoder_arrays(encoders: Encoders) -> dict[str, np.ndarray]:
+def mlp_arrays(mlp: MlpParams, prefix: str) -> dict[str, np.ndarray]:
+    """An MLP's archive arrays: ``{prefix}w{i}`` then ``{prefix}b{i}`` per layer."""
     out = {}
-    for i, (w, b) in enumerate(zip(encoders.vision.weights, encoders.vision.biases)):
-        out[f"vision/w{i}"] = w.value
-        out[f"vision/b{i}"] = b.value
-    out["language/table"] = encoders.language.table.value
-    proj = encoders.language.projection
-    for i, (w, b) in enumerate(zip(proj.weights, proj.biases)):
-        out[f"language/proj_w{i}"] = w.value
-        out[f"language/proj_b{i}"] = b.value
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        out[f"{prefix}w{i}"] = w.value
+        out[f"{prefix}b{i}"] = b.value
     return out
 
 
-def _encoders_from_arrays(enc_config: EncoderConfig, arrays: dict[str, np.ndarray]) -> Encoders:
-    def mlp(widths, prefix):
-        weights, biases = [], []
-        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            w = arrays[f"{prefix}w{i}"]
-            b = arrays[f"{prefix}b{i}"]
-            if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
-                raise CheckpointFormatError(
-                    f"array {prefix}w{i}/b{i} shapes {w.shape}/{b.shape} do not match widths {widths}"
-                )
-            weights.append(Tensor(w.copy()))
-            biases.append(Tensor(b.copy()))
-        return MlpParams(widths=list(widths), weights=weights, biases=biases)
+def mlp_from_arrays(arrays: dict[str, np.ndarray], prefix: str, widths: Sequence[int]) -> MlpParams:
+    """The MLP that :func:`mlp_arrays` stored under ``prefix``, each array
+    checked against the layer ``widths``."""
+    weights, biases = [], []
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        w = arrays[f"{prefix}w{i}"]
+        b = arrays[f"{prefix}b{i}"]
+        if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
+            raise CheckpointFormatError(
+                f"array {prefix}w{i}/b{i} shapes {w.shape}/{b.shape} do not match widths {widths}"
+            )
+        weights.append(Tensor(w.copy()))
+        biases.append(Tensor(b.copy()))
+    return MlpParams(widths=list(widths), weights=weights, biases=biases)
 
-    vision = mlp(enc_config.vision_widths(), "vision/")
+
+def _encoders_from_arrays(enc_config: EncoderConfig, arrays: dict[str, np.ndarray]) -> Encoders:
+    vision = mlp_from_arrays(arrays, "vision/", enc_config.vision_widths())
     table = arrays["language/table"]
     if table.shape != (enc_config.vocab_size, enc_config.token_dim):
         raise CheckpointFormatError(f"token table shape {table.shape} does not match config")
-    projection = mlp(enc_config.projection_widths(), "language/proj_")
+    projection = mlp_from_arrays(arrays, "language/proj_", enc_config.projection_widths())
     return Encoders(
         vision=vision,
         language=InstructionEncoderParams(Tensor(table.copy()), projection),
@@ -350,8 +352,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "encoder_config": asdict(enc_config),
         "iteration": ckpt.iteration,
     }
-    arrays = _encoder_arrays(ckpt.encoders)
-    arrays["history"] = ckpt.history
+    language = ckpt.encoders.language
+    arrays = {**mlp_arrays(ckpt.encoders.vision, "vision/"), "language/table": language.table.value,
+              **mlp_arrays(language.projection, "language/proj_"), "history": ckpt.history}
     write_array_archive(path, meta, arrays)
 
 

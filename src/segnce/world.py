@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .encoders import Instruction
-from .errors import DatasetFormatError, EmptyInputError, VocabularyError
+from .errors import DatasetFormatError, EmptyInputError, VocabularyError, check_number
 from .sampling import Trajectory
 from .training import read_array_archive, write_array_archive
 
@@ -66,6 +66,7 @@ class WorldConfig:
             raise EmptyInputError("world dimensions must be positive")
         if not (2 <= self.h_min <= self.h_max):
             raise EmptyInputError("need 2 <= h_min <= h_max")
+        check_number(EmptyInputError, "noise", self.noise)
         if self.task_pairs > len(OBJECT_NAMES):
             raise VocabularyError(f"at most {len(OBJECT_NAMES)} task pairs are nameable")
 

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line surface and manifest replay."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from segnce.cli import main, replay_manifest
-from segnce.errors import SegnceError
+from segnce.cli import REQUIRED, _DEFAULTS, _OPTIONS, _check_config, _resolve, build_parser, main, replay_manifest
+from segnce.errors import EmptyInputError, SegnceError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args):
@@ -293,6 +297,17 @@ def _nan_checkpoint(tmp, dataset_path, ckpt_path):
     return ["heatmap", "--ckpt", str(path), "--data", str(dataset_path), "--out", str(tmp / "h.csv")]
 
 
+def _cli(*args):
+    """A command line with ``{ckpt}``, ``{data}`` and ``{tmp}`` filled in."""
+    return lambda tmp, data, ckpt: [a.format(ckpt=ckpt, data=data, tmp=tmp) for a in args]
+
+
+def _other_world_data(tmp, dataset_path, ckpt_path):
+    path = tmp / "three-pairs.bin"
+    assert run_cli(["gen-world", "--out", str(path), "--count", "3", "--task-pairs", "3"]) == 0
+    return path
+
+
 def _heatmap_lengths(lengths):
     return lambda tmp, data, ckpt: [
         "heatmap", "--ckpt", str(ckpt), "--data", str(data), "--lengths", lengths, "--out", str(tmp / "h.csv")
@@ -322,6 +337,15 @@ MALFORMED_INPUTS = {
     "eval-lcbc-hidden-not-int": lambda tmp, data, ckpt: [
         "eval-lcbc", "--ckpt", str(ckpt), "--demos", str(data), "--hidden", "a,b", "--out", str(tmp / "bc.json")
     ],
+    "eval-lcbc-lr-nan": _cli("eval-lcbc", "--ckpt", "{ckpt}", "--demos", "{data}", "--lr", "nan",
+                             "--out", "{tmp}/bc.json"),
+    "train-temperature-nan": _cli("train", "--data", "{data}", "--temperature", "nan", "--out", "{tmp}/t.ckpt"),
+    "gen-world-noise-negative": _cli("gen-world", "--noise", "-1", "--out", "{tmp}/g.bin"),
+    "plan-noise-scale-negative": _cli("plan", "--ckpt", "{ckpt}", "--noise-scale", "-1", "--out", "{tmp}/p.json"),
+    "plan-temperature-nan": _cli("plan", "--ckpt", "{ckpt}", "--temperature", "nan", "--out", "{tmp}/p.json"),
+    "plan-task-pairs-mismatch": _cli("plan", "--ckpt", "{ckpt}", "--task-pairs", "2", "--out", "{tmp}/p.json"),
+    "plan-d-obs-mismatch": _cli("plan", "--ckpt", "{ckpt}", "--d-obs", "16", "--out", "{tmp}/p.json"),
+    "data-other-world": _heatmap_data(_other_world_data),
 }
 
 
@@ -330,6 +354,14 @@ MALFORMED_MESSAGES = {
     "heatmap-lengths-zero": "--lengths entry '0'",
     "heatmap-lengths-negative": "--lengths entry '-3'",
     "heatmap-ckpt-nan": "nan.ckpt",
+    "eval-lcbc-lr-nan": "learning_rate",
+    "train-temperature-nan": "temperature",
+    "gen-world-noise-negative": "noise",
+    "plan-noise-scale-negative": "noise_scale",
+    "plan-temperature-nan": "temperature",
+    "plan-task-pairs-mismatch": "--task-pairs",
+    "plan-d-obs-mismatch": "--d-obs",
+    "data-other-world": "three-pairs.bin",
 }
 
 
@@ -340,3 +372,53 @@ def test_malformed_input_exits_one(tmp_path, dataset_path, ckpt_path, case, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert MALFORMED_MESSAGES.get(case, "") in err
+
+
+# ---- the option table -------------------------------------------------------------------
+
+
+def _subparsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("subcommand", sorted(_DEFAULTS))
+def test_flags_are_the_config_keys(subcommand):
+    actions = [a for a in _subparsers()[subcommand]._actions if a.dest != "help"]
+    keys = set(_DEFAULTS[subcommand])
+    assert {a.dest for a in actions} == {"config", "quiet", "verbose", *keys}
+    assert {s for a in actions for s in a.option_strings} == {
+        "--config", "--quiet", "--verbose", *("--" + key.replace("_", "-") for key in keys)
+    }
+
+
+def test_every_subcommand_but_replay_has_a_table():
+    assert set(_subparsers()) == {*_DEFAULTS, "replay"}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_DEFAULTS))
+def test_config_of_defaults_resolves_like_no_config(tmp_path, subcommand):
+    options = _OPTIONS[subcommand]
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps({k: v for k, v in _DEFAULTS[subcommand].items() if options[k].default is not REQUIRED}))
+    assert _resolve(subcommand, str(path), {}) == _resolve(subcommand, None, {})
+
+
+@pytest.mark.parametrize("subcommand", sorted(_DEFAULTS))
+def test_null_only_for_optional_strings(subcommand):
+    for key in _DEFAULTS[subcommand]:
+        if key in ("instruction", "policy_out"):
+            _check_config({key: None}, _OPTIONS[subcommand], "cfg.json")
+        else:
+            with pytest.raises(EmptyInputError, match=f"'{key}'"):
+                _check_config({key: None}, _OPTIONS[subcommand], "cfg.json")
+
+
+def test_readme_commands_parse():
+    """Every ``segnce`` line of the README's command-line block parses, and
+    together they show every subcommand."""
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```sh", 1)[1]
+    commands = [shlex.split(line)[1:] for line in block.split("```", 1)[0].splitlines() if line.startswith("segnce ")]
+    assert {argv[0] for argv in commands} == {*_DEFAULTS, "replay"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

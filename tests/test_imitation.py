@@ -168,7 +168,7 @@ def test_policy_round_trip(tmp_path, tiny_ckpt, demos):
 
 
 @pytest.mark.parametrize("defect", ["encoder-checkpoint", "widths", "policy/w0", "widths=x", "config=x",
-                                    "policy/w0=nan"])
+                                    "policy/w0=nan", "policy/w1=narrow"])
 def test_malformed_policy_rejected(tmp_path, tiny_ckpt, demos, defect):
     from segnce.training import read_array_archive
 
@@ -181,6 +181,8 @@ def test_malformed_policy_rejected(tmp_path, tiny_ckpt, demos, defect):
         key, _, value = defect.partition("=")
         if value == "nan":
             arrays[key][0, 0] = np.nan
+        elif value == "narrow":
+            arrays[key] = arrays[key][:, :5]
         elif key in arrays:
             del arrays[key]
         elif value:

@@ -9,7 +9,7 @@ import pytest
 
 from segnce.autodiff import Tensor, cosine_similarity, mlp_apply
 from segnce.encoders import encode_instructions, encode_observations, init_params
-from segnce.errors import CheckpointFormatError, TrainingDivergedError
+from segnce.errors import CheckpointFormatError, EmptyInputError, TrainingDivergedError
 from segnce.objectives import (
     VARIANTS,
     BatchEmbeddings,
@@ -114,6 +114,12 @@ class TestTrainLoop:
     def test_loss_decreases_from_start(self, small_dataset):
         ckpt = train(small_config(iterations=300, batch_size=16), small_dataset)
         assert ckpt.history[-20:, 1].mean() < ckpt.history[0, 1]
+
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_config_rejects_negative_or_non_finite(self, field, value):
+        with pytest.raises(EmptyInputError, match=field):
+            small_config(**{field: value})
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_names_iteration(self, small_dataset):
