@@ -377,6 +377,9 @@ _DEFAULTS = {
 
 def run_resolved(subcommand: str, cfg: dict) -> Path:
     """Execute a subcommand from its fully resolved config; returns the manifest path."""
+    for key in ("seed", "world_seed"):
+        if cfg.get(key, 0) < 0:
+            raise EmptyInputError(f"--{key.replace('_', '-')} must be >= 0, got {cfg[key]}")
     inputs, outputs = _SUBCOMMANDS[subcommand][0](cfg)
     return _write_manifest(subcommand, cfg, inputs, outputs)
 

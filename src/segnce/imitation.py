@@ -106,6 +106,42 @@ def policy_action(policy: PolicyParams, features: np.ndarray) -> np.ndarray:
         return mlp_apply(policy.mlp, features).value
 
 
+def _closed_loop_successes(
+    policy: PolicyParams,
+    ckpt: Checkpoint,
+    world: World,
+    instructions: Sequence[Instruction],
+    seeds: Sequence[int],
+    episodes: int,
+    horizon: Optional[int] = None,
+) -> list[list[bool]]:
+    """Success of each of ``episodes`` closed-loop episodes per instruction,
+    episode k of ``instructions[i]`` drawn from child k of ``seeds[i]``.
+
+    Render, encode (frozen), act, step: all episodes of all instructions
+    advance in lock step, so each step makes one embedding call and one
+    policy call; every episode keeps its own generator and draw order
+    (start state, then per step render noise and distractor drift).
+    """
+    if episodes < 1:
+        raise EmptyInputError("need at least one episode")
+    horizon = horizon or world.config.h_max
+    goals = [ins for ins in instructions for _ in range(episodes)]
+    psi = np.repeat(np.concatenate([embed_instructions(ckpt, [ins]) for ins in instructions]), episodes, axis=0)
+    children = [child for seed in seeds for child in np.random.SeedSequence([seed, 0xBCE]).spawn(episodes)]
+    rngs = [np.random.default_rng(child) for child in children]
+    states = [world.sample_start(world.task_for_instruction(ins), rng) for ins, rng in zip(goals, rngs)]
+    for _ in range(horizon):
+        phi = embed_frames(ckpt, np.stack([world.render(s, rng) for s, rng in zip(states, rngs)]))
+        features = np.concatenate([phi, psi, [[s.z] for s in states]], axis=1)
+        actions = world.clamp_actions(policy_action(policy, features))
+        states = [world.step(s, a) for s, a in zip(states, actions)]
+        for state, rng in zip(states, rngs):
+            world.advance_distractors(state, rng)
+    won = [world.success(s, ins) for s, ins in zip(states, goals)]
+    return [won[i : i + episodes] for i in range(0, len(won), episodes)]
+
+
 def evaluate_bc(
     policy: PolicyParams,
     ckpt: Checkpoint,
@@ -115,27 +151,9 @@ def evaluate_bc(
     seed: int = 0,
     horizon: Optional[int] = None,
 ) -> float:
-    """Closed-loop success rate: render, encode (frozen), act, step.
-
-    All episodes advance in lock step, so each step makes one embedding call
-    and one policy call; every episode keeps its own generator and draw order
-    (start state, then per step render noise and distractor drift).
-    """
-    if episodes < 1:
-        raise EmptyInputError("need at least one episode")
-    horizon = horizon or world.config.h_max
-    task = world.task_for_instruction(instruction)
-    psi = np.tile(embed_instructions(ckpt, [instruction]), (episodes, 1))
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence([seed, 0xBCE]).spawn(episodes)]
-    states = [world.sample_start(task, rng) for rng in rngs]
-    for _ in range(horizon):
-        phi = embed_frames(ckpt, np.stack([world.render(s, rng) for s, rng in zip(states, rngs)]))
-        features = np.concatenate([phi, psi, [[s.z] for s in states]], axis=1)
-        actions = world.clamp_actions(policy_action(policy, features))
-        states = [world.step(s, a) for s, a in zip(states, actions)]
-        for state, rng in zip(states, rngs):
-            world.advance_distractors(state, rng)
-    return sum(world.success(s, instruction) for s in states) / episodes
+    """Closed-loop success rate of ``episodes`` lock-step episodes."""
+    [won] = _closed_loop_successes(policy, ckpt, world, [instruction], [seed], episodes, horizon)
+    return sum(won) / episodes
 
 
 def evaluate_bc_all(
@@ -145,12 +163,16 @@ def evaluate_bc_all(
     episodes_per_instruction: int,
     seed: int = 0,
 ) -> dict:
-    per_instruction = {}
-    for task in range(world.config.n_tasks):
-        instruction = world.instruction_for_task(task)
-        per_instruction[world.instruction_name(instruction)] = evaluate_bc(
-            policy, ckpt, world, instruction, episodes_per_instruction, seed=seed + task
-        )
+    """Success rate per instruction, task t seeded ``seed + t`` as
+    :func:`evaluate_bc` would be; every episode runs in one lock-step loop."""
+    tasks = range(world.config.n_tasks)
+    instructions = [world.instruction_for_task(task) for task in tasks]
+    won = _closed_loop_successes(
+        policy, ckpt, world, instructions, [seed + task for task in tasks], episodes_per_instruction
+    )
+    per_instruction = {
+        world.instruction_name(ins): sum(w) / episodes_per_instruction for ins, w in zip(instructions, won)
+    }
     overall = float(np.mean(list(per_instruction.values())))
     return {
         "episodes_per_instruction": episodes_per_instruction,

@@ -3,7 +3,10 @@
 Action sequences are proposed as Gaussian noise around a nominal sequence
 (the warmstart, or zeros), rolled out through the world's deterministic
 latent dynamics, and scored with the per-step embedding reward: the change
-in frame/instruction cosine similarity. Returns are normalized across the
+in frame/instruction cosine similarity. At gamma = 1 (the default) a
+return telescopes to sim(final frame) - sim(start frame), so only the start
+frame and each proposal's final frame are rendered and embedded: n + 1
+rows per iteration, not n * (horizon + 1). Returns are normalized across the
 proposal set, turned into softmax weights at the configured temperature,
 and the weighted average becomes the next nominal sequence. The final
 nominal sequence is executed open loop.
@@ -73,14 +76,20 @@ def embedding_returns(
     ``proposals``: the discounted sum of per-step changes in frame/instruction
     similarity along its noise-free rollout from ``start_state``.
 
-    With gamma = 1 each return telescopes to the endpoint similarity difference.
+    With gamma = 1 each return telescopes to the endpoint similarity
+    difference, so one batch is rendered: the start level once, then each
+    proposal's final level. With gamma < 1 every frame of every rollout is.
     """
     proposals = np.asarray(proposals, dtype=np.float64)
     if proposals.ndim != 3 or proposals.shape[2] != world.config.d_act:
         raise ShapeMismatchError(f"proposals must be (n, horizon, {world.config.d_act}), got {proposals.shape}")
     zs = _roll_z(world, start_state.task, start_state.z, proposals)
+    if gamma == 1.0:
+        zs = np.concatenate([[start_state.z], zs[:, -1]])
     obs = world.render_batch(start_state.task, zs.reshape(-1), start_state.distractors)
     sim = frame_similarity(embed_frames(ckpt, obs), embed_instructions(ckpt, [instruction])[0]).reshape(zs.shape)
+    if gamma == 1.0:
+        return sim[1:] - sim[0]
     return np.sum(np.diff(sim, axis=1) * gamma ** np.arange(proposals.shape[1]), axis=1)
 
 

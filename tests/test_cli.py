@@ -346,6 +346,11 @@ MALFORMED_INPUTS = {
     "plan-task-pairs-mismatch": _cli("plan", "--ckpt", "{ckpt}", "--task-pairs", "2", "--out", "{tmp}/p.json"),
     "plan-d-obs-mismatch": _cli("plan", "--ckpt", "{ckpt}", "--d-obs", "16", "--out", "{tmp}/p.json"),
     "data-other-world": _heatmap_data(_other_world_data),
+    "gen-world-seed-negative": _cli("gen-world", "--seed", "-1", "--out", "{tmp}/g.bin"),
+    "gen-world-world-seed-negative": _cli("gen-world", "--world-seed", "-1", "--out", "{tmp}/g.bin"),
+    "plan-seed-negative": _cli("plan", "--ckpt", "{ckpt}", "--seed", "-1", "--out", "{tmp}/p.json"),
+    "sampling-stats-seed-negative": _cli("sampling-stats", "--h", "5", "--samples", "10", "--seed", "-1",
+                                         "--out", "{tmp}/s.csv"),
 }
 
 
@@ -362,6 +367,10 @@ MALFORMED_MESSAGES = {
     "plan-task-pairs-mismatch": "--task-pairs",
     "plan-d-obs-mismatch": "--d-obs",
     "data-other-world": "three-pairs.bin",
+    "gen-world-seed-negative": "--seed must be >= 0",
+    "gen-world-world-seed-negative": "--world-seed must be >= 0",
+    "plan-seed-negative": "--seed must be >= 0",
+    "sampling-stats-seed-negative": "--seed must be >= 0",
 }
 
 

@@ -9,6 +9,7 @@ from segnce.errors import CheckpointFormatError, EmptyInputError
 from segnce.imitation import (
     BcConfig,
     evaluate_bc,
+    evaluate_bc_all,
     featurize_demos,
     load_policy,
     policy_action,
@@ -154,6 +155,20 @@ def test_lock_step_matches_one_episode_at_a_time(tiny_ckpt, world, demos, monkey
         assert [won for won, _ in finals] == [won for won, _ in want]
         assert rate == np.mean([won for won, _ in want])
         np.testing.assert_allclose([z for _, z in finals], [z for _, z in want], rtol=0, atol=1e-12)
+
+
+def test_all_instructions_in_lock_step_match_one_instruction_at_a_time(tiny_ckpt, world, demos):
+    policy = train_bc(tiny_ckpt, demos, BcConfig(steps=300, seed=0))
+    for episodes in (1, 3):
+        report = evaluate_bc_all(policy, tiny_ckpt, world, episodes, seed=7)
+        want = {
+            world.instruction_name(world.instruction_for_task(task)): evaluate_bc(
+                policy, tiny_ckpt, world, world.instruction_for_task(task), episodes, seed=7 + task
+            )
+            for task in range(world.config.n_tasks)
+        }
+        assert report["per_instruction"] == want
+        assert report["success_rate"] == np.mean(list(want.values()))
 
 
 def test_policy_round_trip(tmp_path, tiny_ckpt, demos):

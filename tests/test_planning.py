@@ -126,6 +126,56 @@ class TestRolloutReturn:
             embedding_returns(tiny_ckpt, world, state, world.instructions()[0], np.zeros((10, 2)))
 
 
+def per_step_returns(ckpt, world, state, instruction, proposals, gamma):
+    """Reference returns: render and embed every frame of every rollout and
+    sum the discounted per-step similarity changes."""
+    from segnce.analysis import embed_frames, embed_instructions, frame_similarity
+    from segnce.planning import _roll_z
+
+    zs = _roll_z(world, state.task, state.z, proposals)
+    obs = world.render_batch(state.task, zs.reshape(-1), state.distractors)
+    sim = frame_similarity(embed_frames(ckpt, obs), embed_instructions(ckpt, [instruction])[0]).reshape(zs.shape)
+    return np.sum(np.diff(sim, axis=1) * gamma ** np.arange(proposals.shape[1]), axis=1)
+
+
+class TestEndpointReturns:
+    @pytest.fixture
+    def case(self, world):
+        rng = np.random.default_rng(21)
+        ins = world.instructions()[5]
+        state = world.sample_start(world.task_for_instruction(ins), rng, z_jitter=0.1)
+        return state, ins, rng.normal(0.0, 0.6, size=(64, 50, world.config.d_act))
+
+    def test_gamma_one_matches_per_step_reference(self, tiny_ckpt, world, case):
+        state, ins, proposals = case
+        got = embedding_returns(tiny_ckpt, world, state, ins, proposals, gamma=1.0)
+        want = per_step_returns(tiny_ckpt, world, state, ins, proposals, 1.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_discounted_returns_bit_identical_to_reference(self, tiny_ckpt, world, case):
+        state, ins, proposals = case
+        got = embedding_returns(tiny_ckpt, world, state, ins, proposals, gamma=0.9)
+        np.testing.assert_array_equal(got, per_step_returns(tiny_ckpt, world, state, ins, proposals, 0.9))
+
+    @pytest.mark.parametrize("gamma, rows", [(1.0, lambda n, h: n + 1), (0.9, lambda n, h: n * (h + 1))])
+    def test_rows_embedded_per_call(self, tiny_ckpt, world, case, monkeypatch, gamma, rows):
+        import segnce.planning as planning
+
+        state, ins, proposals = case
+        seen = []
+
+        def counting_embed(ckpt, obs, embed=planning.embed_frames):
+            seen.append(len(obs))
+            return embed(ckpt, obs)
+
+        monkeypatch.setattr(planning, "embed_frames", counting_embed)
+        n, horizon = proposals.shape[:2]
+        embedding_returns(tiny_ckpt, world, state, ins, proposals, gamma=gamma)
+        config = PlannerConfig(horizon=horizon, n_sequences=n, iterations=3, gamma=gamma)
+        plan(tiny_ckpt, world, state, ins, config, np.random.default_rng(0))
+        assert seen == [rows(n, horizon)] * 4
+
+
 class TestPlan:
     def test_seed_determinism(self, tiny_ckpt, world):
         config = PlannerConfig(horizon=10, n_sequences=8, iterations=2, temperature=1.0)
