@@ -44,7 +44,6 @@ from .objectives import (
 )
 from .sampling import (
     Segment,
-    SegmentBatch,
     Trajectory,
     empirical_goal_histogram,
     goal_probability,
@@ -52,7 +51,7 @@ from .sampling import (
     sample_segment,
 )
 from .training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
-from .world import LatentState, World, WorldConfig, generate_dataset, load_dataset, save_dataset
+from .world import LatentState, World, WorldConfig, load_dataset, save_dataset
 
 __all__ = [
     "BatchEmbeddings",
@@ -65,7 +64,6 @@ __all__ = [
     "MlpParams",
     "ObjectiveSpec",
     "Segment",
-    "SegmentBatch",
     "Tensor",
     "TrainConfig",
     "Trajectory",
@@ -79,7 +77,6 @@ __all__ = [
     "encode_observations",
     "finite_difference_check",
     "frame_alignment_loss",
-    "generate_dataset",
     "goal_probability",
     "init_mlp",
     "init_params",

@@ -9,7 +9,6 @@ backpropagate into a checkpoint.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +31,6 @@ class RewardCurve:
     constant curve maps to all 0.5 by convention.
     """
 
-    instruction: Instruction
     raw: np.ndarray
     normalized: np.ndarray
 
@@ -42,8 +40,6 @@ class HeatmapGrid:
     """Segment-by-instruction reward matrix; matched pairs sit where a row's
     source instruction equals the column instruction."""
 
-    segments: list[Segment]
-    instructions: list[Instruction]
     values: np.ndarray  # (n_segments, n_instructions)
     row_labels: list[str]
     col_labels: list[str]
@@ -83,7 +79,7 @@ def reward_curve(ckpt: Checkpoint, traj: Trajectory, instruction: Instruction) -
             f"trajectory observation width {traj.observations.shape[1]} != checkpoint d_obs {d_obs}"
         )
     raw = frame_similarity(embed_frames(ckpt, traj.observations), embed_instructions(ckpt, [instruction])[0])
-    return RewardCurve(instruction=instruction, raw=raw, normalized=normalize_curve(raw))
+    return RewardCurve(raw=raw, normalized=normalize_curve(raw))
 
 
 def segment_score(
@@ -124,8 +120,6 @@ def reward_heatmap(
     if len(segments) == 0 or len(instructions) == 0:
         raise EmptyInputError("heatmap needs at least one segment and one instruction")
     return HeatmapGrid(
-        segments=list(segments),
-        instructions=list(instructions),
         values=segment_score(ckpt, segments, instructions),
         row_labels=list(row_labels) if row_labels else [f"segment{i}" for i in range(len(segments))],
         col_labels=list(col_labels) if col_labels else [f"instruction{j}" for j in range(len(instructions))],
@@ -204,7 +198,3 @@ def write_heatmap_csv(path, grid: HeatmapGrid) -> None:
         writer.writerow(["segment", *grid.col_labels])
         for label, row in zip(grid.row_labels, grid.values):
             writer.writerow([label, *(repr(float(v)) for v in row)])
-
-
-def write_stats_json(path, stats: dict) -> None:
-    Path(path).write_text(json.dumps(stats, sort_keys=True, indent=2) + "\n", encoding="utf-8")

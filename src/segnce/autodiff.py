@@ -293,10 +293,10 @@ class Tensor:
 # ---- similarity and log-sum-exp ----------------------------------------------
 
 
-def cosine_similarity(a, b, eps: float = COSINE_EPS) -> float:
+def cosine_similarity(a, b) -> float:
     """Cosine similarity of two equal-length rank-1 arrays, as a float.
 
-    Norms are floored at ``eps`` so degenerate (near-zero) vectors yield a
+    Norms are floored at ``COSINE_EPS`` so degenerate (near-zero) vectors yield a
     similarity of ~0 instead of dividing by zero. This is the per-vector
     reference for :func:`cosine_matrix`.
     """
@@ -305,17 +305,17 @@ def cosine_similarity(a, b, eps: float = COSINE_EPS) -> float:
         raise ShapeMismatchError(
             f"cosine_similarity requires equal-length rank-1 inputs, got {a.shape} and {b.shape}"
         )
-    na = max(float(np.linalg.norm(a)), eps)
-    nb = max(float(np.linalg.norm(b)), eps)
+    na = max(float(np.linalg.norm(a)), COSINE_EPS)
+    nb = max(float(np.linalg.norm(b)), COSINE_EPS)
     return float(np.dot(a, b)) / (na * nb)
 
 
-def normalize_rows(m, eps: float = COSINE_EPS) -> Tensor:
-    """Row-normalize a rank-2 matrix with the same eps floor as cosine_similarity;
+def normalize_rows(m) -> Tensor:
+    """Row-normalize a rank-2 matrix with the same norm floor as cosine_similarity;
     the floor sits inside the sqrt so the graph never hits sqrt(0)."""
     m = Tensor._lift(m)
     sq = (m * m).sum(axis=1, keepdims=True)
-    return m / sq.maximum(eps * eps).sqrt()
+    return m / sq.maximum(COSINE_EPS * COSINE_EPS).sqrt()
 
 
 def concat_rows(parts: Sequence) -> Tensor:
@@ -331,9 +331,9 @@ def concat_rows(parts: Sequence) -> Tensor:
     return Tensor(np.concatenate([p.value for p in parts]), parts, backward)
 
 
-def cosine_matrix(a, b, eps: float = COSINE_EPS) -> Tensor:
+def cosine_matrix(a, b) -> Tensor:
     """All-pairs cosine similarities between the rows of ``a`` and of ``b``."""
-    return normalize_rows(a, eps) @ normalize_rows(b, eps).T
+    return normalize_rows(a) @ normalize_rows(b).T
 
 
 def logsumexp(xs, axis=None) -> Tensor:

@@ -4,7 +4,8 @@ planning and imitation evaluation.
 Every subcommand resolves its configuration as defaults < config file <
 explicit flags, writes its outputs plus a manifest JSON beside the main
 output, and can be re-executed byte-identically from that manifest alone
-(``segnce replay --manifest ...``). Outputs carry no timestamps.
+(``segnce replay --manifest ...``). Outputs carry no timestamps, and every
+JSON output goes through ``_write_json``, which refuses NaN and infinity.
 
 Each config key is declared once, as an :class:`Option` in its subcommand's
 row of ``_SUBCOMMANDS``, which gives its default, type, choices and help; its
@@ -29,11 +30,11 @@ import numpy as np
 from scipy import stats as sstats
 
 from . import analysis, imitation, planning
-from .errors import SegnceError, EmptyInputError
+from .errors import SegnceError, EmptyInputError, NumericalError
 from .objectives import ObjectiveSpec, VARIANTS
 from .sampling import Segment, empirical_goal_histogram, goal_probability
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
-from .world import World, WorldConfig, generate_dataset, load_dataset, save_dataset
+from .world import World, WorldConfig, load_dataset, save_dataset
 
 log = logging.getLogger("segnce")
 
@@ -64,6 +65,16 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _write_json(path, obj) -> None:
+    """The one JSON writer: sorted keys, two-space indent, a final newline,
+    and strict JSON, so a NaN or infinity is an error, never a bare token."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path} would hold a non-finite number: {exc}") from exc
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
 def _write_manifest(subcommand: str, config: dict, inputs: list, outputs: list) -> Path:
     main_output = Path(outputs[0])
     manifest = {
@@ -73,7 +84,7 @@ def _write_manifest(subcommand: str, config: dict, inputs: list, outputs: list) 
         "outputs": [str(p) for p in outputs],
     }
     path = main_output.with_name(main_output.name + MANIFEST_SUFFIX)
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, manifest)
     return path
 
 
@@ -134,7 +145,7 @@ def _run_gen_world(cfg: dict) -> tuple[list, list]:
     if cfg["count"] < 1:
         raise EmptyInputError(f"count must be >= 1, got {cfg['count']}")
     wc = _world_from_cfg(cfg)
-    trajectories = generate_dataset(wc, cfg["count"], seed=cfg["seed"])
+    trajectories = World(wc).generate(cfg["count"], seed=cfg["seed"])
     out = Path(cfg["out"])
     save_dataset(out, wc, trajectories)
     log.info("wrote %d trajectories to %s", len(trajectories), out)
@@ -270,7 +281,7 @@ def _run_first_image_stats(cfg: dict) -> tuple[list, list]:
         ckpt, dataset, np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0xF2]))
     )
     out = Path(cfg["out"])
-    analysis.write_stats_json(out, stats)
+    _write_json(out, stats)
     return [cfg["ckpt"], cfg["data"]], [out]
 
 
@@ -292,7 +303,7 @@ def _run_plan(cfg: dict) -> tuple[list, list]:
         ckpt, world, instructions, cfg["episodes"], pc, seed=cfg["seed"], reward=cfg["reward"]
     )
     out = Path(cfg["out"])
-    planning.write_planner_report(out, report)
+    _write_json(out, report)
     log.info("planner success rate %.3f", report["success_rate"])
     return [cfg["ckpt"]], [out]
 
@@ -310,7 +321,7 @@ def _run_eval_lcbc(cfg: dict) -> tuple[list, list]:
     report = imitation.evaluate_bc_all(policy, ckpt, world, cfg["episodes"], seed=cfg["seed"])
     report["final_train_loss"] = float(policy.loss_history[-1])
     out = Path(cfg["out"])
-    imitation.write_bc_report(out, report)
+    _write_json(out, report)
     if cfg["policy_out"]:
         imitation.save_policy(policy, cfg["policy_out"])
         return [cfg["ckpt"], cfg["demos"]], [out, Path(cfg["policy_out"])]

@@ -9,10 +9,8 @@ inside ``autodiff.no_grad``, so no gradient can reach them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,15 +19,7 @@ from .analysis import embed_frames, embed_instructions
 from .encoders import Instruction
 from .errors import CheckpointFormatError, EmptyInputError, NumericalError, check_number
 from .sampling import Trajectory
-from .training import (
-    Checkpoint,
-    make_optimizer,
-    mlp_arrays,
-    mlp_from_arrays,
-    TrainConfig,
-    read_array_archive,
-    write_array_archive,
-)
+from .training import Adam, Checkpoint, mlp_arrays, mlp_from_arrays, read_array_archive, write_array_archive
 from .world import World
 
 
@@ -85,9 +75,7 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBC]))
     widths = [inputs.shape[1], *config.hidden, targets.shape[1]]
     mlp = init_mlp(widths, rng)
-    optimizer = make_optimizer(
-        TrainConfig(learning_rate=config.learning_rate, seed=config.seed), mlp.leaves()
-    )
+    optimizer = Adam(mlp.leaves(), config.learning_rate)
     n = inputs.shape[0]
     history = np.zeros(config.steps)
     for step in range(config.steps):
@@ -113,25 +101,24 @@ def _closed_loop_successes(
     instructions: Sequence[Instruction],
     seeds: Sequence[int],
     episodes: int,
-    horizon: Optional[int] = None,
 ) -> list[list[bool]]:
     """Success of each of ``episodes`` closed-loop episodes per instruction,
     episode k of ``instructions[i]`` drawn from child k of ``seeds[i]``.
 
-    Render, encode (frozen), act, step: all episodes of all instructions
-    advance in lock step, so each step makes one embedding call and one
-    policy call; every episode keeps its own generator and draw order
-    (start state, then per step render noise and distractor drift).
+    Render, encode (frozen), act, step, for ``world.config.h_max`` steps:
+    all episodes of all instructions advance in lock step, so each step
+    makes one embedding call and one policy call; every episode keeps its
+    own generator and draw order (start state, then per step render noise
+    and distractor drift).
     """
     if episodes < 1:
         raise EmptyInputError("need at least one episode")
-    horizon = horizon or world.config.h_max
     goals = [ins for ins in instructions for _ in range(episodes)]
     psi = np.repeat(np.concatenate([embed_instructions(ckpt, [ins]) for ins in instructions]), episodes, axis=0)
     children = [child for seed in seeds for child in np.random.SeedSequence([seed, 0xBCE]).spawn(episodes)]
     rngs = [np.random.default_rng(child) for child in children]
     states = [world.sample_start(world.task_for_instruction(ins), rng) for ins, rng in zip(goals, rngs)]
-    for _ in range(horizon):
+    for _ in range(world.config.h_max):
         phi = embed_frames(ckpt, np.stack([world.render(s, rng) for s, rng in zip(states, rngs)]))
         features = np.concatenate([phi, psi, [[s.z] for s in states]], axis=1)
         actions = world.clamp_actions(policy_action(policy, features))
@@ -142,20 +129,6 @@ def _closed_loop_successes(
     return [won[i : i + episodes] for i in range(0, len(won), episodes)]
 
 
-def evaluate_bc(
-    policy: PolicyParams,
-    ckpt: Checkpoint,
-    world: World,
-    instruction: Instruction,
-    episodes: int,
-    seed: int = 0,
-    horizon: Optional[int] = None,
-) -> float:
-    """Closed-loop success rate of ``episodes`` lock-step episodes."""
-    [won] = _closed_loop_successes(policy, ckpt, world, [instruction], [seed], episodes, horizon)
-    return sum(won) / episodes
-
-
 def evaluate_bc_all(
     policy: PolicyParams,
     ckpt: Checkpoint,
@@ -163,8 +136,8 @@ def evaluate_bc_all(
     episodes_per_instruction: int,
     seed: int = 0,
 ) -> dict:
-    """Success rate per instruction, task t seeded ``seed + t`` as
-    :func:`evaluate_bc` would be; every episode runs in one lock-step loop."""
+    """Closed-loop success rate per instruction, task t seeded ``seed + t``;
+    every episode runs in one lock-step loop."""
     tasks = range(world.config.n_tasks)
     instructions = [world.instruction_for_task(task) for task in tasks]
     won = _closed_loop_successes(
@@ -180,17 +153,6 @@ def evaluate_bc_all(
         "per_instruction": per_instruction,
         "success_rate": overall,
     }
-
-
-def replay_demo(world: World, demo: Trajectory, start_state=None) -> bool:
-    """Drive the environment with a demo's recorded actions; sanity harness."""
-    if demo.actions is None:
-        raise EmptyInputError("demonstration has no actions")
-    task = world.task_for_instruction(demo.instruction)
-    state = start_state or world.sample_start(task, np.random.default_rng(0))
-    for action in demo.actions:
-        state = world.step(state, action)
-    return world.success(state, demo.instruction)
 
 
 # ---- persistence -----------------------------------------------------------------
@@ -217,7 +179,3 @@ def load_policy(path) -> PolicyParams:
         )
     except (KeyError, TypeError, ValueError, OverflowError, NumericalError) as exc:
         raise CheckpointFormatError(f"malformed policy checkpoint {path}: missing or invalid {exc}") from exc
-
-
-def write_bc_report(path, report: dict) -> None:
-    Path(path).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")

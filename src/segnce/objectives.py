@@ -51,6 +51,7 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ShapeMismatchError(f"unknown objective variant {self.variant!r}; pick from {VARIANTS}")
+        check_number(ShapeMismatchError, "embed_dim", self.embed_dim, positive=True)
         check_number(ShapeMismatchError, "temperature", self.temperature, positive=True)
 
     @property

@@ -1,7 +1,7 @@
 """Zero-shot language-reward planning with a path-integral controller.
 
 Action sequences are proposed as Gaussian noise around a nominal sequence
-(the warmstart, or zeros), rolled out through the world's deterministic
+(zeros at first), rolled out through the world's deterministic
 latent dynamics, and scored with the per-step embedding reward: the change
 in frame/instruction cosine similarity. At gamma = 1 (the default) a
 return telescopes to sim(final frame) - sim(start frame), so only the start
@@ -17,9 +17,7 @@ upper-bound sanity arm, and a uniform random-action baseline as the floor.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +28,9 @@ from .errors import EmptyInputError, ShapeMismatchError, check_number
 from .training import Checkpoint
 from .world import STEP_GAIN, LatentState, World
 
+# Episodes start at a completion level uniform in [0, START_Z_JITTER).
+START_Z_JITTER = 0.1
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -39,7 +40,6 @@ class PlannerConfig:
     temperature: float = 10.0
     gamma: float = 1.0
     noise_scale: float = 0.3
-    warmstart: Optional[np.ndarray] = None  # (horizon, d_act) nominal sequence
 
     def __post_init__(self):
         if self.horizon < 1 or self.n_sequences < 2 or self.iterations < 1:
@@ -116,13 +116,7 @@ ReturnsFn = Callable[[np.ndarray], np.ndarray]
 
 
 def _mppi(returns_fn: ReturnsFn, config: PlannerConfig, d_act: int, rng: np.random.Generator) -> np.ndarray:
-    nominal = (
-        np.array(config.warmstart, dtype=np.float64)
-        if config.warmstart is not None
-        else np.zeros((config.horizon, d_act))
-    )
-    if nominal.shape != (config.horizon, d_act):
-        raise ShapeMismatchError(f"warmstart shape {nominal.shape} != ({config.horizon}, {d_act})")
+    nominal = np.zeros((config.horizon, d_act))
     for _ in range(config.iterations):
         noise = rng.normal(0.0, config.noise_scale, (config.n_sequences, config.horizon, d_act))
         proposals = nominal[None] + noise
@@ -180,9 +174,10 @@ def evaluate_planner(
     config: PlannerConfig,
     seed: int = 0,
     reward: str = "embedding",
-    z_jitter: float = 0.1,
 ) -> dict:
-    """Open-loop planning success rates, instructions assigned round-robin.
+    """Open-loop planning success rates, instructions assigned round-robin,
+    each episode starting at a completion level drawn from [0, START_Z_JITTER).
+    An instruction that gets no episode reports a rate of None (JSON null).
 
     ``reward`` selects the scoring arm: "embedding" (needs a checkpoint),
     "oracle" (ground truth), or "random" (no planning, uniform actions).
@@ -199,7 +194,7 @@ def evaluate_planner(
         rng = np.random.default_rng(child)
         instruction = instructions[episode % len(instructions)]
         task = world.task_for_instruction(instruction)
-        start = world.sample_start(task, rng, z_jitter=z_jitter)
+        start = world.sample_start(task, rng, z_jitter=START_Z_JITTER)
         if reward == "random":
             actions = rng.uniform(-1.0, 1.0, (config.horizon, world.config.d_act))
         elif reward == "oracle":
@@ -208,21 +203,13 @@ def evaluate_planner(
             actions = plan(ckpt, world, start, instruction, config, rng)
         final = execute_plan(world, start, actions)
         successes[world.instruction_name(instruction)].append(world.success(final, instruction))
-    per_instruction = {
-        name: (float(np.mean(vals)) if vals else float("nan")) for name, vals in successes.items()
-    }
+    per_instruction = {name: (float(np.mean(vals)) if vals else None) for name, vals in successes.items()}
     overall = float(np.mean([s for vals in successes.values() for s in vals]))
-    cfg = asdict(config)
-    cfg["warmstart"] = None if config.warmstart is None else np.asarray(config.warmstart).tolist()
     return {
         "reward": reward,
         "episodes": episodes,
         "seed": seed,
-        "config": cfg,
+        "config": asdict(config),
         "per_instruction": per_instruction,
         "success_rate": overall,
     }
-
-
-def write_planner_report(path, report: dict) -> None:
-    Path(path).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")

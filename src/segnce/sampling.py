@@ -74,32 +74,10 @@ class Segment:
     def instruction(self) -> Instruction:
         return self.trajectory.instruction
 
-    @property
-    def length(self) -> int:
-        return self.goal - self.start
-
     def frame_indices(self, k: int) -> np.ndarray:
-        """The k+1 evenly spaced frame indices start + floor(length * i / k)."""
+        """The k+1 evenly spaced frame indices start + floor((goal - start) * i / k)."""
         i = np.arange(k + 1)
-        return self.start + (self.length * i) // k
-
-
-@dataclass
-class SegmentBatch:
-    """A batch of segments; instruction labels come from each segment's trajectory."""
-
-    segments: list[Segment]
-
-    def __post_init__(self):
-        if len(self.segments) < 2:
-            raise EmptyInputError("a segment batch needs at least 2 segments")
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    @property
-    def instructions(self) -> list[Instruction]:
-        return [s.instruction for s in self.segments]
+        return self.start + ((self.goal - self.start) * i) // k
 
 
 def sample_segment(traj: Trajectory, rng: np.random.Generator) -> Segment:
@@ -146,11 +124,11 @@ def empirical_goal_histogram(
     return counts / n_samples, float((~has_goal).sum() / n_samples)
 
 
-def sample_batch(dataset: Sequence[Trajectory], batch_size: int, rng: np.random.Generator) -> SegmentBatch:
+def sample_batch(dataset: Sequence[Trajectory], batch_size: int, rng: np.random.Generator) -> list[Segment]:
     """Uniform-with-replacement trajectory draws, one segment per slot."""
     if len(dataset) == 0:
         raise EmptyInputError("cannot sample a batch from an empty dataset")
     if batch_size < 2:
         raise EmptyInputError(f"batch size must be >= 2, got {batch_size}")
     idx = rng.integers(0, len(dataset), size=batch_size)
-    return SegmentBatch([sample_segment(dataset[i], rng) for i in idx])
+    return [sample_segment(dataset[i], rng) for i in idx]

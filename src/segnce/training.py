@@ -36,6 +36,7 @@ from .errors import (
     CheckpointFormatError,
     EmptyInputError,
     NumericalError,
+    ShapeMismatchError,
     TrainingDivergedError,
     check_number,
 )
@@ -66,6 +67,7 @@ class TrainConfig:
             raise EmptyInputError("need iterations >= 1 and batch_size >= 2")
         check_number(EmptyInputError, "learning_rate", self.learning_rate)
         check_number(EmptyInputError, "weight_decay", self.weight_decay)
+        check_number(EmptyInputError, "checkpoint_interval", self.checkpoint_interval)
         if self.optimizer not in ("adam", "sgd"):
             raise EmptyInputError(f"unknown optimizer {self.optimizer!r}")
 
@@ -192,7 +194,7 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
 
     history = np.zeros((config.iterations, 3))
     for it in range(config.iterations):
-        segments = sample_batch(dataset, config.batch_size, rng).segments
+        segments = sample_batch(dataset, config.batch_size, rng)
         try:
             loss = batch_loss(config.objective, _embed_batch(encoders, config.objective, segments, rng))
             loss_value = float(loss.value)
@@ -246,21 +248,31 @@ def _config_from_json(d: dict) -> TrainConfig:
     return TrainConfig(**d)
 
 
-def write_array_archive(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Binary container: magic, version, JSON header, little-endian f64 blobs."""
-    names = list(arrays.keys())
-    header = {
-        "meta": meta,
-        "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
-    }
+def write_array_archive(path, meta: dict, arrays: dict[str, "np.ndarray | list[np.ndarray]"]) -> None:
+    """Binary container: magic, version, JSON header, little-endian f64 blobs.
+
+    An array may also be given as a list of row blocks of one trailing
+    shape; the blocks are written in turn, so the file holds their
+    concatenation without that ever being built in memory.
+    """
+    blocks = {n: a if isinstance(a, list) else [a] for n, a in arrays.items()}
+    shapes = {}
+    for n, parts in blocks.items():
+        tail = parts[0].shape[1:] if parts else None
+        if not parts or any(p.shape[1:] != tail for p in parts):
+            raise ShapeMismatchError(f"array {n!r} needs one or more row blocks of one trailing shape")
+        shapes[n] = list(parts[0].shape) if len(parts) == 1 else [sum(len(p) for p in parts), *tail]
+    header = {"meta": meta, "arrays": [{"name": n, "shape": shape} for n, shape in shapes.items()]}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with Path(path).open("wb") as fh:
+    # a 1 MiB buffer gathers a dataset's thousands of few-KB blocks into large writes
+    with Path(path).open("wb", buffering=1 << 20) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8"))
+        for parts in blocks.values():
+            for p in parts:
+                fh.write(np.ascontiguousarray(p, dtype="<f8"))
 
 
 def read_array_archive(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -296,10 +296,6 @@ class World:
         return out
 
 
-def generate_dataset(config: WorldConfig, n_trajectories: int, seed: Optional[int] = None) -> list[Trajectory]:
-    return World(config).generate(n_trajectories, seed=seed)
-
-
 # ---- serialization -----------------------------------------------------------------
 
 
@@ -309,7 +305,8 @@ def save_dataset(path, config: WorldConfig, trajectories: list[Trajectory]) -> N
 
     Per-trajectory lengths and (verb, object) ids sit beside the
     observations, actions and progression of all trajectories stacked
-    row-wise in trajectory order.
+    row-wise in trajectory order; each trajectory's rows are written as
+    one block, so no stacked copy is made.
     """
     write_array_archive(
         path,
@@ -317,9 +314,9 @@ def save_dataset(path, config: WorldConfig, trajectories: list[Trajectory]) -> N
         {
             "lengths": np.array([t.h for t in trajectories], dtype=np.float64),
             "instructions": np.array([[t.instruction.verb, t.instruction.obj] for t in trajectories], dtype=np.float64),
-            "observations": np.concatenate([t.observations for t in trajectories]),
-            "actions": np.concatenate([t.actions for t in trajectories]),
-            "progression": np.concatenate([t.progression for t in trajectories]),
+            "observations": [t.observations for t in trajectories],
+            "actions": [t.actions for t in trajectories],
+            "progression": [t.progression for t in trajectories],
         },
     )
 

@@ -14,7 +14,6 @@ from segnce.analysis import (
     reward_heatmap,
     write_curve_csv,
     write_heatmap_csv,
-    write_stats_json,
 )
 from segnce.autodiff import cosine_similarity
 from segnce.errors import EmptyInputError, ShapeMismatchError
@@ -186,19 +185,19 @@ class TestExports:
         assert float(first[1]) == curve.raw[0]
 
     def test_heatmap_csv_layout(self, tmp_path):
-        grid = HeatmapGrid(
-            segments=[], instructions=[], values=np.array([[1.0, -0.5]]),
-            row_labels=["r0"], col_labels=["c0", "c1"],
-        )
+        grid = HeatmapGrid(values=np.array([[1.0, -0.5]]), row_labels=["r0"], col_labels=["c0", "c1"])
         path = tmp_path / "grid.csv"
         write_heatmap_csv(path, grid)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "segment,c0,c1"
         assert lines[1].startswith("r0,")
 
-    def test_stats_json(self, tmp_path):
-        path = tmp_path / "stats.json"
-        write_stats_json(path, {"a": 1.5})
+    def test_stats_json(self, tmp_path, tiny_ckpt, world, dataset):
         import json
 
-        assert json.loads(path.read_text()) == {"a": 1.5}
+        from segnce.cli import _write_json
+
+        stats = first_image_similarity_stats(tiny_ckpt, dataset, world.instructions())
+        path = tmp_path / "stats.json"
+        _write_json(path, stats)
+        assert json.loads(path.read_text()) == stats

@@ -340,6 +340,9 @@ MALFORMED_INPUTS = {
     "eval-lcbc-lr-nan": _cli("eval-lcbc", "--ckpt", "{ckpt}", "--demos", "{data}", "--lr", "nan",
                              "--out", "{tmp}/bc.json"),
     "train-temperature-nan": _cli("train", "--data", "{data}", "--temperature", "nan", "--out", "{tmp}/t.ckpt"),
+    "train-ckpt-interval-negative": _cli("train", "--data", "{data}", "--ckpt-interval", "-3",
+                                         "--out", "{tmp}/t.ckpt"),
+    "train-embed-dim-zero": _cli("train", "--data", "{data}", "--embed-dim", "0", "--out", "{tmp}/t.ckpt"),
     "gen-world-noise-negative": _cli("gen-world", "--noise", "-1", "--out", "{tmp}/g.bin"),
     "plan-noise-scale-negative": _cli("plan", "--ckpt", "{ckpt}", "--noise-scale", "-1", "--out", "{tmp}/p.json"),
     "plan-temperature-nan": _cli("plan", "--ckpt", "{ckpt}", "--temperature", "nan", "--out", "{tmp}/p.json"),
@@ -361,6 +364,8 @@ MALFORMED_MESSAGES = {
     "heatmap-ckpt-nan": "nan.ckpt",
     "eval-lcbc-lr-nan": "learning_rate",
     "train-temperature-nan": "temperature",
+    "train-ckpt-interval-negative": "checkpoint_interval",
+    "train-embed-dim-zero": "embed_dim",
     "gen-world-noise-negative": "noise",
     "plan-noise-scale-negative": "noise_scale",
     "plan-temperature-nan": "temperature",
@@ -381,6 +386,30 @@ def test_malformed_input_exits_one(tmp_path, dataset_path, ckpt_path, case, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert MALFORMED_MESSAGES.get(case, "") in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_every_json_output_is_strict_json(tmp_path):
+    data, ckpt = str(tmp_path / "data.bin"), str(tmp_path / "enc.ckpt")
+    for args in (
+        ["gen-world", "--out", data, "--count", "30", "--h-min", "10", "--h-max", "16"],
+        ["train", "--data", data, "--out", ckpt, "--iterations", "5", "--batch-size", "8"],
+        ["first-image-stats", "--ckpt", ckpt, "--data", data, "--out", str(tmp_path / "fi.json")],
+        # 2 episodes over 8 instructions: 6 instructions get no episode
+        ["plan", "--ckpt", ckpt, "--episodes", "2", "--out", str(tmp_path / "plan.json")],
+        ["eval-lcbc", "--ckpt", ckpt, "--demos", data, "--steps", "5", "--episodes", "1",
+         "--out", str(tmp_path / "bc.json")],
+    ):
+        assert run_cli(args) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert len(written) == 8  # three reports and five manifests
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    rates = json.loads((tmp_path / "plan.json").read_text())["per_instruction"]
+    assert list(rates.values()).count(None) == 6
 
 
 # ---- the option table -------------------------------------------------------------------

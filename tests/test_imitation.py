@@ -8,16 +8,16 @@ from segnce.encoders import Instruction
 from segnce.errors import CheckpointFormatError, EmptyInputError
 from segnce.imitation import (
     BcConfig,
-    evaluate_bc,
+    _closed_loop_successes,
     evaluate_bc_all,
     featurize_demos,
     load_policy,
     policy_action,
-    replay_demo,
     save_policy,
     train_bc,
 )
 from segnce.objectives import ObjectiveSpec
+from segnce.planning import execute_plan
 from segnce.sampling import Trajectory
 from segnce.training import TrainConfig, save_checkpoint, train, write_array_archive
 from segnce.world import World, WorldConfig
@@ -93,8 +93,10 @@ def test_demo_without_actions_rejected(tiny_ckpt, world):
 
 
 def test_expert_replay_succeeds(world, demos):
+    # a demo's recorded actions, replayed open loop from a fresh start, finish its task
     for demo in demos:
-        assert replay_demo(world, demo)
+        start = world.sample_start(world.task_for_instruction(demo.instruction), np.random.default_rng(0))
+        assert world.success(execute_plan(world, start, demo.actions), demo.instruction)
 
 
 def test_random_actions_near_zero_success(world):
@@ -116,8 +118,8 @@ def test_random_actions_near_zero_success(world):
 def test_evaluation_deterministic(tiny_ckpt, world, demos):
     policy = train_bc(tiny_ckpt, demos, BcConfig(steps=100, seed=0))
     ins = world.instruction_for_task(0)
-    a = evaluate_bc(policy, tiny_ckpt, world, ins, 5, seed=4)
-    b = evaluate_bc(policy, tiny_ckpt, world, ins, 5, seed=4)
+    a = _closed_loop_successes(policy, tiny_ckpt, world, [ins], [4], 5)
+    b = _closed_loop_successes(policy, tiny_ckpt, world, [ins], [4], 5)
     assert a == b
 
 
@@ -150,10 +152,10 @@ def test_lock_step_matches_one_episode_at_a_time(tiny_ckpt, world, demos, monkey
             return finals[-1][0]
 
         monkeypatch.setattr(world, "success", recording_success)
-        rate = evaluate_bc(policy, tiny_ckpt, world, instruction, 6, seed=task)
+        [won] = _closed_loop_successes(policy, tiny_ckpt, world, [instruction], [task], 6)
         monkeypatch.undo()
-        assert [won for won, _ in finals] == [won for won, _ in want]
-        assert rate == np.mean([won for won, _ in want])
+        assert [w for w, _ in finals] == [w for w, _ in want]
+        assert won == [w for w, _ in want]
         np.testing.assert_allclose([z for _, z in finals], [z for _, z in want], rtol=0, atol=1e-12)
 
 
@@ -161,12 +163,11 @@ def test_all_instructions_in_lock_step_match_one_instruction_at_a_time(tiny_ckpt
     policy = train_bc(tiny_ckpt, demos, BcConfig(steps=300, seed=0))
     for episodes in (1, 3):
         report = evaluate_bc_all(policy, tiny_ckpt, world, episodes, seed=7)
-        want = {
-            world.instruction_name(world.instruction_for_task(task)): evaluate_bc(
-                policy, tiny_ckpt, world, world.instruction_for_task(task), episodes, seed=7 + task
-            )
-            for task in range(world.config.n_tasks)
-        }
+        want = {}
+        for task in range(world.config.n_tasks):
+            instruction = world.instruction_for_task(task)
+            [won] = _closed_loop_successes(policy, tiny_ckpt, world, [instruction], [7 + task], episodes)
+            want[world.instruction_name(instruction)] = sum(won) / episodes
         assert report["per_instruction"] == want
         assert report["success_rate"] == np.mean(list(want.values()))
 

@@ -194,12 +194,6 @@ class TestPlan:
         final = execute_plan(world, state, actions)
         assert world.success(final, ins)
 
-    def test_warmstart_shape_validated(self, tiny_ckpt, world):
-        config = PlannerConfig(horizon=10, n_sequences=4, warmstart=np.zeros((3, 2)))
-        state = world.sample_start(0, np.random.default_rng(9))
-        with pytest.raises(Exception):
-            plan(tiny_ckpt, world, state, world.instructions()[0], config, np.random.default_rng(0))
-
     def test_config_validation(self):
         with pytest.raises(EmptyInputError):
             PlannerConfig(horizon=0)
@@ -220,6 +214,13 @@ class TestEvaluatePlanner:
         assert a == b
         assert set(a) == {"reward", "episodes", "seed", "config", "per_instruction", "success_rate"}
         assert len(a["per_instruction"]) == 2
+
+    def test_instruction_without_episode_reports_none(self, world):
+        config = PlannerConfig(horizon=10, n_sequences=8)
+        report = evaluate_planner(None, world, world.instructions(), 2, config, seed=0, reward="random")
+        rates = list(report["per_instruction"].values())
+        assert rates[2:] == [None] * (world.config.n_tasks - 2)
+        assert all(0.0 <= r <= 1.0 for r in rates[:2])
 
     def test_embedding_reward_requires_checkpoint(self, world):
         with pytest.raises(EmptyInputError):

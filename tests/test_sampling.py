@@ -150,20 +150,20 @@ class TestSampleBatch:
         traj = make_traj(5)
         batch = sample_batch([traj], 4, np.random.default_rng(0))
         assert len(batch) == 4
-        assert all(s.instruction == traj.instruction for s in batch.segments)
+        assert all(s.instruction == traj.instruction for s in batch)
 
     def test_seed_determinism(self):
         data = [make_traj(h) for h in (5, 9, 14)]
         a = sample_batch(data, 8, np.random.default_rng(42))
         b = sample_batch(data, 8, np.random.default_rng(42))
-        assert [(s.start, s.goal) for s in a.segments] == [(s.start, s.goal) for s in b.segments]
-        assert [id(s.trajectory) for s in a.segments] == [id(s.trajectory) for s in b.segments]
+        assert [(s.start, s.goal) for s in a] == [(s.start, s.goal) for s in b]
+        assert [id(s.trajectory) for s in a] == [id(s.trajectory) for s in b]
 
     def test_two_distinct_instructions_give_mismatched_pair(self):
         data = [make_traj(5, Instruction(0, 8)), make_traj(5, Instruction(1, 8))]
         rng = np.random.default_rng(1)
         batch = sample_batch(data * 4, 2, rng)
-        assert len(batch.instructions) == 2
+        assert len(batch) == 2
 
     def test_errors(self):
         with pytest.raises(EmptyInputError):

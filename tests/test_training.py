@@ -9,7 +9,7 @@ import pytest
 
 from segnce.autodiff import Tensor, cosine_similarity, mlp_apply
 from segnce.encoders import encode_instructions, encode_observations, init_params
-from segnce.errors import CheckpointFormatError, EmptyInputError, TrainingDivergedError
+from segnce.errors import CheckpointFormatError, EmptyInputError, ShapeMismatchError, TrainingDivergedError
 from segnce.objectives import (
     VARIANTS,
     BatchEmbeddings,
@@ -121,6 +121,12 @@ class TestTrainLoop:
         with pytest.raises(EmptyInputError, match=field):
             small_config(**{field: value})
 
+    def test_config_names_a_bad_interval_or_width(self):
+        with pytest.raises(EmptyInputError, match="checkpoint_interval"):
+            small_config(checkpoint_interval=-3)
+        with pytest.raises(ShapeMismatchError, match="embed_dim"):
+            ObjectiveSpec(embed_dim=0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_names_iteration(self, small_dataset):
         # an absurd learning rate reliably overflows within a few steps
@@ -147,7 +153,7 @@ class TestLeanGraph:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            batch = _embed_batch(enc, spec, sample_batch(small_dataset, 8, rng).segments, rng)
+            batch = _embed_batch(enc, spec, sample_batch(small_dataset, 8, rng), rng)
             interior = weakref.ref(batch.intermediates[4])
             loss = batch_loss(spec, batch)
             del batch
@@ -201,7 +207,7 @@ def test_stacked_embedding_matches_reference_rewards(small_dataset, variant):
     spec, enc = _encoders(small_dataset, variant)
     rng = np.random.default_rng(1)
     short = Segment(small_dataset[0], 0, 2)  # t8 repeats its frame indices
-    segments = [short, *sample_batch(small_dataset, 15, rng).segments]
+    segments = [short, *sample_batch(small_dataset, 15, rng)]
     frame_rng = copy.deepcopy(rng)
     batch = _embed_batch(enc, spec, segments, rng)
     logits = segment_logits(spec, batch).value
@@ -298,6 +304,17 @@ class TestCheckpointIo:
         np.testing.assert_array_equal(loaded["b"], arrays["b"])
         with pytest.raises(CheckpointFormatError, match="kind='test'"):
             read_array_archive(path, "dataset")
+
+
+    def test_row_blocks_write_their_concatenation(self, tmp_path):
+        rng = np.random.default_rng(0)
+        blocks = [rng.normal(size=(h, 3)) for h in (2, 5, 1)]
+        whole, blocked = tmp_path / "whole.bin", tmp_path / "blocked.bin"
+        write_array_archive(whole, {"kind": "test"}, {"n": np.arange(3.0), "m": np.concatenate(blocks)})
+        write_array_archive(blocked, {"kind": "test"}, {"n": [np.arange(3.0)], "m": blocks})
+        assert blocked.read_bytes() == whole.read_bytes()
+        with pytest.raises(ShapeMismatchError, match="'m'"):
+            write_array_archive(blocked, {"kind": "test"}, {"m": [blocks[0], np.zeros((2, 4))]})
 
 
 def _write_raw_archive(path, header: dict) -> None:

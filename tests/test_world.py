@@ -12,7 +12,6 @@ from segnce.world import (
     LatentState,
     World,
     WorldConfig,
-    generate_dataset,
     load_dataset,
     save_dataset,
 )
@@ -115,8 +114,8 @@ class TestRendering:
 class TestGeneration:
     def test_same_seed_identical(self):
         config = WorldConfig()
-        a = generate_dataset(config, 5, seed=7)
-        b = generate_dataset(config, 5, seed=7)
+        a = World(config).generate(5, seed=7)
+        b = World(config).generate(5, seed=7)
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.observations, tb.observations)
             np.testing.assert_array_equal(ta.actions, tb.actions)
