@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import mlp_apply, no_grad, normalize_rows
+from .autodiff import COSINE_EPS, mlp_apply, no_grad, normalize_rows
 from .encoders import Instruction, encode_instructions
 from .errors import EmptyInputError, ShapeMismatchError
 from .objectives import BatchEmbeddings, segment_logits
@@ -66,8 +66,8 @@ def normalize_curve(raw: np.ndarray) -> np.ndarray:
 
 def frame_similarity(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Cosine of every row of a frame-embedding matrix to one instruction
-    embedding (normalized with a 1e-8 floor on its norm)."""
-    return (normalize_rows(phi) @ (psi / max(float(np.linalg.norm(psi)), 1e-8))).value
+    embedding (normalized with the ``COSINE_EPS`` floor on its norm)."""
+    return (normalize_rows(phi) @ (psi / max(float(np.linalg.norm(psi)), COSINE_EPS))).value
 
 
 def reward_curve(ckpt: Checkpoint, traj: Trajectory, instruction: Instruction) -> RewardCurve:
@@ -151,7 +151,7 @@ def first_image_similarity_stats(
     # one call per instruction: a row's last bits depend on the batch it is embedded in
     psi_all = np.concatenate([embed_instructions(ckpt, [ins]) for ins in vocabulary])
     psi_mean = psi_all.mean(axis=0)
-    psi_mean = psi_mean / max(float(np.linalg.norm(psi_mean)), 1e-8)
+    psi_mean = psi_mean / max(float(np.linalg.norm(psi_mean)), COSINE_EPS)
     to_mean_instruction = float((emb @ psi_mean).mean())
     return {
         "n_trajectories": n,

@@ -15,6 +15,12 @@ output node as an argument and never captures it, so a graph holds no
 reference cycle and is freed by reference counting as soon as its root is
 released.
 
+A training step allocates as little as it can: each MLP layer is one
+affine node (``h @ w.T + b``), not a transpose, a product and a sum, and a
+backward pass zeroes a leaf's existing gradient buffer in place instead of
+dropping it, so a parameter's gradient lives in one buffer from step to
+step. Interior nodes get fresh buffers on every pass.
+
 There is one implementation per primitive. The helpers below lift array
 inputs to constant ``Tensor``s and always return a ``Tensor``. Frozen
 consumers run the same code inside :func:`no_grad`: no node built in that
@@ -274,13 +280,18 @@ class Tensor:
         that requires a gradient.
 
         The root must be scalar-valued. Gradients on reachable nodes are
-        cleared first, so repeated passes do not leak across calls.
+        cleared first, so repeated passes do not leak across calls: a leaf
+        that already has a buffer gets it zeroed in place (the same array
+        serves every pass), any other node starts again from ``None``.
         """
         if self.value.ndim != 0:
             raise GraphError(f"backward requires a scalar root, got shape {self.value.shape}")
         order = self._topo_order()
         for node in order:
-            node.grad = None
+            if node._parents or node.grad is None:
+                node.grad = None
+            else:
+                node.grad.fill(0.0)
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
             if node._backward is not None:
@@ -380,6 +391,28 @@ def init_mlp(widths: Sequence[int], rng: np.random.Generator) -> MlpParams:
     return MlpParams(widths=widths, weights=weights, biases=biases)
 
 
+def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w.T + b`` for a vector or a (batch, in) matrix ``x``, as one node.
+
+    Values and gradients are bit for bit those of the three-node graph
+    ``x @ w.T + b``: ``x`` gets ``g @ w``, ``w`` gets ``(x.T @ g).T`` (an outer
+    product for a vector ``x``) and ``b`` the batch sum of ``g``.
+    """
+    value = x.value @ w.value.T
+    value += b.value
+
+    def backward(out):
+        g = out.grad
+        if x.requires_grad:
+            x._add_grad(g @ w.value)
+        if w.requires_grad:
+            w._add_grad((np.outer(x.value, g) if x.value.ndim == 1 else x.value.T @ g).T)
+        if b.requires_grad:
+            b._add_grad(_unbroadcast(g, b.value.shape))
+
+    return Tensor(value, (x, w, b), backward)
+
+
 def mlp_apply(params: MlpParams, x) -> Tensor:
     """Apply the MLP to a single vector or a (batch, in) matrix; an array input
     is lifted as a constant, so it gets no gradient."""
@@ -389,7 +422,7 @@ def mlp_apply(params: MlpParams, x) -> Tensor:
             f"mlp input shape {h.value.shape} does not match first layer width {params.widths[0]}"
         )
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T + b
+        h = _affine(h, w, b)
         if i < len(params.weights) - 1:
             h = h.relu()
     return h

@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import MlpParams, init_mlp, mlp_apply, no_grad
 from .analysis import embed_frames, embed_instructions
 from .encoders import Instruction
-from .errors import CheckpointFormatError, EmptyInputError, NumericalError, check_number
+from .errors import CheckpointFormatError, EmptyInputError, NumericalError, TrainingDivergedError, check_number
 from .sampling import Trajectory
 from .training import Adam, Checkpoint, mlp_arrays, mlp_from_arrays, read_array_archive, write_array_archive
 from .world import World
@@ -70,7 +70,11 @@ def featurize_demos(ckpt: Checkpoint, demos: Sequence[Trajectory]) -> tuple[np.n
 
 
 def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) -> PolicyParams:
-    """Minimize mean squared action error; the checkpoint's encoders stay frozen."""
+    """Minimize mean squared action error; the checkpoint's encoders stay frozen.
+
+    Raises :class:`TrainingDivergedError` naming the step, the seed and the
+    learning rate at the first non-finite loss.
+    """
     inputs, targets = featurize_demos(ckpt, demos)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBC]))
     widths = [inputs.shape[1], *config.hidden, targets.shape[1]]
@@ -83,9 +87,14 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
         pred = mlp_apply(mlp, inputs[idx])
         err = pred - targets[idx]
         loss = (err * err).sum() * (1.0 / err.value.size)
+        history[step] = float(loss.value)
+        if not np.isfinite(history[step]):
+            raise TrainingDivergedError(
+                step, f"non-finite behavior-cloning loss {history[step]} at step {step} "
+                f"(seed {config.seed}, learning_rate {config.learning_rate!r})"
+            )
         loss.backward()
         optimizer.step()
-        history[step] = float(loss.value)
     return PolicyParams(mlp=mlp, config=config, loss_history=history)
 
 

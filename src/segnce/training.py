@@ -83,22 +83,42 @@ class Checkpoint:
     history: np.ndarray  # (n, 3): iteration, loss, grad norm
 
 
+def _scratch_views(leaves: Sequence[Tensor], count: int) -> list[tuple[np.ndarray, ...]]:
+    """``count`` scratch buffers sized to the largest leaf, allocated once, and
+    per leaf a tuple of views of them shaped like that leaf."""
+    size = max((leaf.value.size for leaf in leaves), default=0)
+    buffers = [np.empty(size) for _ in range(count)]
+    return [tuple(buf[: leaf.value.size].reshape(leaf.value.shape) for buf in buffers) for leaf in leaves]
+
+
 class Sgd:
+    """Plain gradient descent with L2 coupled into the gradient; the update is
+    formed in one scratch buffer sized to the largest leaf."""
+
     def __init__(self, leaves: Sequence[Tensor], lr: float, weight_decay: float = 0.0):
         self.leaves = list(leaves)
         self.lr = lr
         self.weight_decay = weight_decay
+        self._scratch = _scratch_views(self.leaves, 1)
 
     def step(self):
-        for leaf in self.leaves:
+        for leaf, (s,) in zip(self.leaves, self._scratch):
             g = leaf.grad
             if self.weight_decay:
-                g = g + self.weight_decay * leaf.value
-            leaf.value -= self.lr * g
+                g = np.add(g, np.multiply(self.weight_decay, leaf.value, out=s), out=s)
+            leaf.value -= np.multiply(self.lr, g, out=s)
 
 
 class Adam:
-    """Adam with L2 coupled into the gradient (not decoupled decay)."""
+    """Adam with L2 coupled into the gradient (not decoupled decay).
+
+    The moments and parameters are updated in place. Every temporary lives in
+    one of two scratch buffers sized to the largest leaf and allocated here,
+    so a step allocates no parameter-sized array. The arithmetic runs in the
+    order of the textbook expressions, so results are bit for bit those of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``w -= lr * (m/c1) / (sqrt(v/c2) + eps)``.
+    """
 
     def __init__(self, leaves: Sequence[Tensor], lr: float, beta1=0.9, beta2=0.999,
                  eps=1e-8, weight_decay: float = 0.0):
@@ -109,19 +129,29 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(l.value) for l in self.leaves]
         self.v = [np.zeros_like(l.value) for l in self.leaves]
+        self._scratch = _scratch_views(self.leaves, 2)
 
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, leaf in enumerate(self.leaves):
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for leaf, m, v, (s, u) in zip(self.leaves, self.m, self.v, self._scratch):
             g = leaf.grad
             if self.weight_decay:
-                g = g + self.weight_decay * leaf.value
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            leaf.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                g = np.add(g, np.multiply(self.weight_decay, leaf.value, out=s), out=s)
+            m *= b1
+            m += np.multiply(1 - b1, g, out=u)
+            np.multiply(1 - b2, g, out=u)
+            u *= g
+            v *= b2
+            v += u
+            np.divide(m, c1, out=s)  # g is spent: s may now be overwritten
+            s *= self.lr
+            np.divide(v, c2, out=u)
+            np.sqrt(u, out=u)
+            u += self.eps
+            s /= u
+            leaf.value -= s
 
 
 def make_optimizer(config: TrainConfig, leaves: Sequence[Tensor]):

@@ -7,6 +7,7 @@ import pytest
 from segnce.autodiff import (
     MlpParams,
     Tensor,
+    _affine,
     concat_rows,
     cosine_matrix,
     cosine_similarity,
@@ -146,6 +147,51 @@ class TestBackward:
     def test_leaf_rejects_nonfinite(self):
         with pytest.raises(NumericalError):
             Tensor(np.array([1.0, np.nan]))
+
+    def test_leaf_buffer_kept_and_zeroed_across_passes(self):
+        rng = np.random.default_rng(9)
+        w0, x = rng.normal(size=(3, 4)), Tensor(rng.normal(size=(5, 4)), requires_grad=False)
+        w = Tensor(w0.copy())
+        (x @ w.T).exp().sum().backward()
+        buffer = w.grad
+        ((x @ w.T) * (x @ w.T)).sum().backward()
+        fresh = Tensor(w0.copy())
+        ((x @ fresh.T) * (x @ fresh.T)).sum().backward()
+        assert w.grad is buffer
+        assert np.array_equal(w.grad, fresh.grad)
+
+
+class TestAffine:
+    @staticmethod
+    def _grads(layer, x0, w0, b0, c):
+        x, w, b = Tensor(x0.copy()), Tensor(w0.copy()), Tensor(b0.copy())
+        out = layer(x, w, b)
+        (out * c).sum().backward()
+        return out.value, x.grad, w.grad, b.grad
+
+    @pytest.mark.parametrize("x_shape", [(4,), (6, 4)])
+    def test_matches_three_node_graph_bit_for_bit(self, x_shape):
+        rng = np.random.default_rng(11)
+        x0, w0, b0 = rng.normal(size=x_shape), rng.normal(size=(3, 4)), rng.normal(size=3)
+        c = rng.normal(size=(*x_shape[:-1], 3))
+        one = self._grads(_affine, x0, w0, b0, c)
+        three = self._grads(lambda x, w, b: x @ w.T + b, x0, w0, b0, c)
+        for a, b in zip(one, three):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("x_shape", [(4,), (6, 4)])
+    def test_central_differences(self, x_shape):
+        rng = np.random.default_rng(12)
+        theta = rng.normal(size=int(np.prod(x_shape)) + 12 + 3)
+        c = rng.normal(size=(*x_shape[:-1], 3))
+        n = int(np.prod(x_shape))
+
+        def f(t):
+            x = t.slice_rows(0, n).reshape(x_shape)
+            w = t.slice_rows(n, n + 12).reshape((3, 4))
+            return (_affine(x, w, t.slice_rows(n + 12, n + 15)).exp() * c).sum()
+
+        assert finite_difference_check(f, theta, step=1e-6) <= 1e-6
 
 
 class TestMlp:

@@ -5,7 +5,7 @@ import pytest
 
 from segnce.analysis import embed_frames, embed_instructions
 from segnce.encoders import Instruction
-from segnce.errors import CheckpointFormatError, EmptyInputError
+from segnce.errors import CheckpointFormatError, EmptyInputError, TrainingDivergedError
 from segnce.imitation import (
     BcConfig,
     _closed_loop_successes,
@@ -80,6 +80,13 @@ def test_loss_mostly_nonincreasing(tiny_ckpt, demos):
     win = policy.loss_history.reshape(20, 50).mean(axis=1)
     frac_nonincreasing = np.mean(np.diff(win) <= 0.01 * win[0])
     assert frac_nonincreasing >= 0.95
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_names_step_seed_and_learning_rate(tiny_ckpt, demos):
+    with pytest.raises(TrainingDivergedError, match=r"at step 1 \(seed 5, learning_rate 1e\+300\)") as info:
+        train_bc(tiny_ckpt, demos, BcConfig(learning_rate=1e300, steps=30, seed=5))
+    assert info.value.iteration == 1
 
 
 def test_demo_without_actions_rejected(tiny_ckpt, world):

@@ -2,12 +2,13 @@
 
 import copy
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from segnce.autodiff import Tensor, cosine_similarity, mlp_apply
+from segnce.autodiff import Tensor, cosine_similarity, init_mlp, mlp_apply
 from segnce.encoders import encode_instructions, encode_observations, init_params
 from segnce.errors import CheckpointFormatError, EmptyInputError, ShapeMismatchError, TrainingDivergedError
 from segnce.objectives import (
@@ -87,6 +88,86 @@ class TestOptimizers:
         leaf.grad = np.array([0.0])
         Sgd([leaf], lr=0.1, weight_decay=0.5).step()
         assert leaf.value[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
+
+
+class ReferenceAdam:
+    """Out-of-place Adam with coupled L2, written as the textbook expressions."""
+
+    def __init__(self, values, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+        self.values, self.lr, self.b1, self.b2, self.eps, self.wd = values, lr, beta1, beta2, eps, weight_decay
+        self.t = 0
+        self.m = [np.zeros_like(w) for w in values]
+        self.v = [np.zeros_like(w) for w in values]
+
+    def step(self, grads):
+        self.t += 1
+        for i, g in enumerate(grads):
+            if self.wd:
+                g = g + self.wd * self.values[i]
+            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
+            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
+            m_hat = self.m[i] / (1 - self.b1**self.t)
+            v_hat = self.v[i] / (1 - self.b2**self.t)
+            self.values[i] = self.values[i] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_in_place_adam_matches_reference_bit_for_bit(weight_decay):
+    rng = np.random.default_rng(4)
+    shapes = [(7, 5), (5,), (), (3, 2, 4), (1,)]
+    leaves = [Tensor(rng.normal(size=shape)) for shape in shapes]
+    reference = ReferenceAdam([leaf.value.copy() for leaf in leaves], 0.01, weight_decay=weight_decay)
+    opt = Adam(leaves, 0.01, weight_decay=weight_decay)
+    for _ in range(50):
+        grads = [rng.normal(size=shape) for shape in shapes]
+        for leaf, g in zip(leaves, grads):
+            leaf.grad = g
+        opt.step()
+        reference.step(grads)
+    for i, leaf in enumerate(leaves):
+        assert np.array_equal(leaf.value, reference.values[i])
+        assert np.array_equal(opt.m[i], reference.m[i])
+        assert np.array_equal(opt.v[i], reference.v[i])
+
+
+class TestAllocation:
+    """A behavior-cloning-sized step allocates no parameter-sized temporary."""
+
+    @staticmethod
+    def _setup():
+        rng = np.random.default_rng(0)
+        mlp = init_mlp([65, 256, 256, 2], rng)
+        x, y = rng.normal(size=(16, 65)), rng.normal(size=(16, 2))
+        opt = Adam(mlp.leaves(), 1e-4)
+
+        def forward_backward():
+            err = mlp_apply(mlp, x) - y
+            (err * err).sum().backward()
+
+        for _ in range(2):  # warm-up: gradient buffers and moments exist
+            forward_backward()
+            opt.step()
+        return opt, forward_backward
+
+    @staticmethod
+    def _peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_adam_step_allocates_under_4_kb(self):
+        opt, forward_backward = self._setup()
+        forward_backward()
+        assert self._peak_bytes(opt.step) < 4 * 1024
+
+    def test_forward_and_backward_stay_under_1_mb(self):
+        _, forward_backward = self._setup()
+        assert self._peak_bytes(forward_backward) < 1024 * 1024
 
 
 class TestTrainLoop:
