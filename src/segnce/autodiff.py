@@ -31,6 +31,7 @@ function, as the float reference the batched forms are checked against.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -316,8 +317,9 @@ def cosine_similarity(a, b) -> float:
         raise ShapeMismatchError(
             f"cosine_similarity requires equal-length rank-1 inputs, got {a.shape} and {b.shape}"
         )
-    na = max(float(np.linalg.norm(a)), COSINE_EPS)
-    nb = max(float(np.linalg.norm(b)), COSINE_EPS)
+    # the arithmetic of np.linalg.norm on a real vector, without its overhead
+    na = max(math.sqrt(float(a @ a)), COSINE_EPS)
+    nb = max(math.sqrt(float(b @ b)), COSINE_EPS)
     return float(np.dot(a, b)) / (na * nb)
 
 

@@ -9,6 +9,7 @@ inside ``autodiff.no_grad``, so no gradient can reach them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -73,13 +74,14 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
     """Minimize mean squared action error; the checkpoint's encoders stay frozen.
 
     Raises :class:`TrainingDivergedError` naming the step, the seed and the
-    learning rate at the first non-finite loss.
+    learning rate at the first non-finite loss or gradient norm.
     """
     inputs, targets = featurize_demos(ckpt, demos)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBC]))
     widths = [inputs.shape[1], *config.hidden, targets.shape[1]]
     mlp = init_mlp(widths, rng)
-    optimizer = Adam(mlp.leaves(), config.learning_rate)
+    leaves = mlp.leaves()
+    optimizer = Adam(leaves, config.learning_rate)
     n = inputs.shape[0]
     history = np.zeros(config.steps)
     for step in range(config.steps):
@@ -94,6 +96,13 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
                 f"(seed {config.seed}, learning_rate {config.learning_rate!r})"
             )
         loss.backward()
+        # one dot per leaf: no parameter-sized temporary
+        squared_norm = sum(float(np.vdot(leaf.grad, leaf.grad)) for leaf in leaves)
+        if not math.isfinite(squared_norm):
+            raise TrainingDivergedError(
+                step, f"non-finite behavior-cloning gradient norm {math.sqrt(squared_norm)} at step {step} "
+                f"(seed {config.seed}, learning_rate {config.learning_rate!r})"
+            )
         optimizer.step()
     return PolicyParams(mlp=mlp, config=config, loss_history=history)
 
@@ -115,25 +124,22 @@ def _closed_loop_successes(
     episode k of ``instructions[i]`` drawn from child k of ``seeds[i]``.
 
     Render, encode (frozen), act, step, for ``world.config.h_max`` steps:
-    all episodes of all instructions advance in lock step, so each step
-    makes one embedding call and one policy call; every episode keeps its
-    own generator and draw order (start state, then per step render noise
-    and distractor drift).
+    :meth:`World.closed_loop` advances all episodes of all instructions in
+    lock step as arrays, so each step makes one embedding call and one
+    policy call; every episode keeps its own generator and draw order.
     """
     if episodes < 1:
         raise EmptyInputError("need at least one episode")
     goals = [ins for ins in instructions for _ in range(episodes)]
     psi = np.repeat(np.concatenate([embed_instructions(ckpt, [ins]) for ins in instructions]), episodes, axis=0)
     children = [child for seed in seeds for child in np.random.SeedSequence([seed, 0xBCE]).spawn(episodes)]
-    rngs = [np.random.default_rng(child) for child in children]
-    states = [world.sample_start(world.task_for_instruction(ins), rng) for ins, rng in zip(goals, rngs)]
-    for _ in range(world.config.h_max):
-        phi = embed_frames(ckpt, np.stack([world.render(s, rng) for s, rng in zip(states, rngs)]))
-        features = np.concatenate([phi, psi, [[s.z] for s in states]], axis=1)
-        actions = world.clamp_actions(policy_action(policy, features))
-        states = [world.step(s, a) for s, a in zip(states, actions)]
-        for state, rng in zip(states, rngs):
-            world.advance_distractors(state, rng)
+
+    def act(observations, zs):
+        return policy_action(policy, np.concatenate([embed_frames(ckpt, observations), psi, zs[:, None]], axis=1))
+
+    states = world.closed_loop(
+        [world.task_for_instruction(ins) for ins in goals], [np.random.default_rng(c) for c in children], act
+    )
     won = [world.success(s, ins) for s, ins in zip(states, goals)]
     return [won[i : i + episodes] for i in range(0, len(won), episodes)]
 

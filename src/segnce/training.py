@@ -211,8 +211,8 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
 
     With ``checkpoint_path`` set and a positive ``checkpoint_interval`` the
     current state is persisted every interval iterations (overwriting).
-    Raises :class:`TrainingDivergedError` naming the iteration if the loss
-    goes non-finite.
+    Raises :class:`TrainingDivergedError` naming the iteration, the seed and
+    the learning rate if the loss or the gradient norm goes non-finite.
     """
     if len(dataset) == 0:
         raise EmptyInputError("cannot train on an empty dataset")
@@ -225,20 +225,20 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
     history = np.zeros((config.iterations, 3))
     for it in range(config.iterations):
         segments = sample_batch(dataset, config.batch_size, rng)
+        where = f"at iteration {it} (seed {config.seed}, learning_rate {config.learning_rate!r})"
         try:
             loss = batch_loss(config.objective, _embed_batch(encoders, config.objective, segments, rng))
             loss_value = float(loss.value)
         except NumericalError as exc:
-            raise TrainingDivergedError(
-                it, f"non-finite values at iteration {it} (seed {config.seed}): {exc}"
-            ) from exc
+            raise TrainingDivergedError(it, f"non-finite values {where}: {exc}") from exc
         if not np.isfinite(loss_value):
-            raise TrainingDivergedError(
-                it, f"non-finite loss {loss_value} at iteration {it} (seed {config.seed})"
-            )
+            raise TrainingDivergedError(it, f"non-finite loss {loss_value} {where}")
         loss.backward()
+        grad_norm = _grad_norm(leaves)
+        if not np.isfinite(grad_norm):
+            raise TrainingDivergedError(it, f"non-finite gradient norm {grad_norm} {where}")
         optimizer.step()
-        history[it] = (it, loss_value, _grad_norm(leaves))
+        history[it] = (it, loss_value, grad_norm)
         if (
             checkpoint_path is not None
             and config.checkpoint_interval > 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -172,29 +172,36 @@ class World:
         z = float(np.clip(state.z + STEP_GAIN * gain, 0.0, 1.0))
         return LatentState(task=state.task, z=z, distractors=state.distractors)
 
-    def _features(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
+    def _features(self, task, z) -> np.ndarray:
+        """(s, s^2, sin 2*pi*s) of the signed progress: s = z, or -z for a mirror task."""
+        z = np.asarray(z, dtype=np.float64)
+        s = np.where(np.asarray(task) % 2 == 0, z, -z)
         return np.stack([s, s * s, np.sin(2.0 * np.pi * s)], axis=-1)
 
-    def _signed_progress(self, task: int, z):
-        return z if task % 2 == 0 else -np.asarray(z, dtype=np.float64)
+    def render(self, tasks, zs, distractors, noise: Optional[np.ndarray] = None) -> np.ndarray:
+        """Observation rows of frames at completion levels ``zs`` of ``tasks``
+        (one id, or one per frame) over the task-irrelevant ``distractors``
+        (one row, or one per frame), plus the already scaled ``noise`` rows.
 
-    def render(self, state: LatentState, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Observation vector for a state; pass an rng to add sensor noise."""
-        obs = np.empty(self.config.d_obs)
-        s = self._signed_progress(state.task, state.z)
-        obs[: self.n_task] = self.render_maps[state.task // 2] @ self._features(s)
-        obs[self.n_task :] = state.distractors
-        if rng is not None and self.config.noise > 0:
-            obs += rng.normal(0.0, self.config.noise, self.config.d_obs)
+        Each row's task block is its pair's map times its features, ``M @ f``,
+        computed for all rows as one stacked matmul: that matches the
+        per-frame product bit for bit, where ``F @ M.T`` does not."""
+        zs = np.asarray(zs, dtype=np.float64)
+        maps = self.render_maps[np.asarray(tasks) // 2]  # one map for all rows, or one per row
+        obs = np.empty((len(zs), self.config.d_obs))
+        obs[:, : self.n_task] = np.matmul(maps, self._features(tasks, zs)[:, :, None])[:, :, 0]
+        obs[:, self.n_task :] = distractors
+        if noise is not None:
+            obs += noise
         return obs
 
     def render_batch(self, task: int, zs: np.ndarray, distractors: np.ndarray) -> np.ndarray:
         """Noise-free render of many completion levels under one fixed
-        task-irrelevant latent; used by planning rollouts."""
-        s = self._signed_progress(task, np.asarray(zs, dtype=np.float64))
+        task-irrelevant latent; used by planning rollouts. Its ``F @ M.T``
+        product differs from :meth:`render` in the last bit on most rows, and
+        the planner's figures are recorded with it."""
         obs = np.empty((len(zs), self.config.d_obs))
-        obs[:, : self.n_task] = self._features(s) @ self.render_maps[task // 2].T
+        obs[:, : self.n_task] = self._features(task, zs) @ self.render_maps[task // 2].T
         obs[:, self.n_task :] = distractors
         return obs
 
@@ -205,12 +212,44 @@ class World:
         z = float(rng.uniform(0.0, z_jitter)) if z_jitter > 0 else 0.0
         return LatentState(task=task, z=z, distractors=distractors)
 
-    def advance_distractors(self, state: LatentState, rng: np.random.Generator) -> None:
-        """One step of the task-irrelevant processes: slow scene drift plus
-        the distractor random walk. Used by generation and closed-loop
-        evaluation; planning rollouts keep distractors frozen."""
-        state.distractors[: self.n_scene] += rng.normal(0.0, SCENE_DRIFT, self.n_scene)
-        state.distractors[self.n_scene :] += rng.normal(0.0, WALK_SIGMA, self.n_walk)
+    def _step_scales(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-column scales of one step's standard-normal draws: scene drift
+        and walk, then render noise (none at zero noise); callers concatenate
+        them in their draw order. ``s * standard_normal(n)`` equals
+        ``normal(0, s, n)`` bit for bit."""
+        drift = np.concatenate([np.full(self.n_scene, SCENE_DRIFT), np.full(self.n_walk, WALK_SIGMA)])
+        return drift, np.full(self.config.d_obs if self.config.noise > 0 else 0, self.config.noise)
+
+    def closed_loop(
+        self,
+        tasks: Sequence[int],
+        rngs: Sequence[np.random.Generator],
+        act: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> list[LatentState]:
+        """Final states of one episode per task, run in lock step for
+        ``h_max`` steps; ``act(observations, zs)`` maps every episode's
+        rendered frame and completion level to its action row.
+
+        Episode i draws from ``rngs[i]`` in the order of one episode run
+        alone: its start state, then per step one draw holding the render
+        noise, the scene drift and the walk. Distractors drift after the
+        frame is rendered; actions move z by their gain along the task's
+        direction, taken with a stacked matmul that equals ``a @ d``."""
+        starts = [self.sample_start(task, rng) for task, rng in zip(tasks, rngs)]
+        tasks = np.array(tasks, dtype=np.int64)
+        distractors = np.array([s.distractors for s in starts])
+        directions = np.array([self.direction(task) for task in tasks])
+        zs = np.array([s.z for s in starts])
+        drift, noise = self._step_scales()
+        scales, n_noise = np.concatenate([noise, drift]), len(noise)
+        for _ in range(self.config.h_max):
+            draws = np.array([rng.standard_normal(len(scales)) for rng in rngs]) * scales
+            obs = self.render(tasks, zs, distractors, draws[:, :n_noise] if n_noise else None)
+            actions = self.clamp_actions(act(obs, zs))
+            gains = np.matmul(actions[:, None, :], directions[:, :, None])[:, 0, 0]
+            zs = np.clip(zs + STEP_GAIN * gains, 0.0, 1.0)
+            distractors += draws[:, n_noise:]
+        return [LatentState(int(t), float(z), d) for t, z, d in zip(tasks, zs, distractors)]
 
     # ---- ground-truth evaluation ----------------------------------------------
 
@@ -237,34 +276,37 @@ class World:
     # ---- scripted expert generation --------------------------------------------
 
     def _expert_trajectory(self, task: int, rng: np.random.Generator) -> Trajectory:
+        """The expert's z loop runs on Python floats; the frames are rendered
+        once at the end. Per step the generator makes the draws of a
+        per-frame loop in its order: the pace, then one draw holding the
+        scene drift, the walk and the next frame's render noise."""
         cfg = self.config
         d = self.direction(task)
-        state = self.sample_start(task, rng)
-
-        observations = [self.render(state, rng)]
-        zs = [state.z]
-        actions = []
-        while True:
-            n_frames = len(zs)
-            if state.z >= 1.0 and n_frames >= cfg.h_min:
-                break
-            if n_frames >= cfg.h_max:
-                break
-            if state.z >= 1.0:
-                action = np.zeros(cfg.d_act)  # task done, hold still
+        start = self.sample_start(task, rng)
+        drift, noise = self._step_scales()
+        scales, n_dist = np.concatenate([drift, noise]), len(drift)
+        # row i: the distractor step into frame i (the start for frame 0),
+        # then frame i's render noise
+        draws = [np.concatenate([start.distractors, rng.standard_normal(len(noise))])]
+        z, zs, actions = start.z, [start.z], []
+        while len(zs) < cfg.h_max and not (z >= 1.0 and len(zs) >= cfg.h_min):
+            if z >= 1.0:
+                actions.append(np.zeros(cfg.d_act))  # task done, hold still
             else:
                 pace = rng.uniform(*EXPERT_PACE)
-                if n_frames == cfg.h_max - 1:
-                    pace = (1.0 - state.z) / STEP_GAIN  # last chance, finish exactly
-                action = self.clamp_actions(pace * d)
-            state = self.step(state, action)
-            self.advance_distractors(state, rng)
-            actions.append(action)
-            zs.append(state.z)
-            observations.append(self.render(state, rng))
-
+                if len(zs) == cfg.h_max - 1:
+                    pace = (1.0 - z) / STEP_GAIN  # last chance, finish exactly
+                actions.append(self.clamp_actions(pace * d))
+                z = min(max(z + STEP_GAIN * float(actions[-1] @ d), 0.0), 1.0)
+            zs.append(z)
+            draws.append(rng.standard_normal(len(scales)))
+        draws = np.array(draws)
+        draws[1:] *= scales
+        draws[0, n_dist:] *= noise
         return Trajectory(
-            observations=np.array(observations),
+            observations=self.render(
+                task, zs, np.cumsum(draws[:, :n_dist], axis=0), draws[:, n_dist:] if len(noise) else None
+            ),
             instruction=self.instruction_for_task(task),
             actions=np.array(actions),
             progression=np.array(zs),

@@ -63,3 +63,16 @@ def loss_gradient_error(variant: str, seed: int, batch_size: int = 4, step: floa
         return batch_loss(spec, be)
 
     return finite_difference_check(f, flat, step=step)
+
+
+def render_one(world, task, z, distractors, rng=None):
+    """Reference render of one state: the pair's map times the features of
+    the signed progression, then the distractors, then sensor noise drawn
+    from ``rng``."""
+    s = np.asarray(z if task % 2 == 0 else -z, dtype=np.float64)
+    obs = np.empty(world.config.d_obs)
+    obs[: world.n_task] = world.render_maps[task // 2] @ np.stack([s, s * s, np.sin(2.0 * np.pi * s)])
+    obs[world.n_task :] = distractors
+    if rng is not None and world.config.noise > 0:
+        obs += rng.normal(0.0, world.config.noise, world.config.d_obs)
+    return obs

@@ -341,6 +341,8 @@ MALFORMED_INPUTS = {
                              "--out", "{tmp}/bc.json"),
     "eval-lcbc-lr-diverges": _cli("eval-lcbc", "--ckpt", "{ckpt}", "--demos", "{data}", "--lr", "1e300",
                                   "--steps", "30", "--out", "{tmp}/bc.json"),
+    "eval-lcbc-lr-overflows": _cli("eval-lcbc", "--ckpt", "{ckpt}", "--demos", "{data}", "--lr", "1e30",
+                                   "--steps", "30", "--out", "{tmp}/bc.json"),
     "train-temperature-nan": _cli("train", "--data", "{data}", "--temperature", "nan", "--out", "{tmp}/t.ckpt"),
     "train-ckpt-interval-negative": _cli("train", "--data", "{data}", "--ckpt-interval", "-3",
                                          "--out", "{tmp}/t.ckpt"),
@@ -366,6 +368,7 @@ MALFORMED_MESSAGES = {
     "heatmap-ckpt-nan": "nan.ckpt",
     "eval-lcbc-lr-nan": "learning_rate",
     "eval-lcbc-lr-diverges": "at step 1 (seed 0, learning_rate 1e+300)",
+    "eval-lcbc-lr-overflows": "gradient norm inf at step",
     "train-temperature-nan": "temperature",
     "train-ckpt-interval-negative": "checkpoint_interval",
     "train-embed-dim-zero": "embed_dim",

@@ -20,7 +20,9 @@ from segnce.objectives import ObjectiveSpec
 from segnce.planning import execute_plan
 from segnce.sampling import Trajectory
 from segnce.training import TrainConfig, save_checkpoint, train, write_array_archive
-from segnce.world import World, WorldConfig
+from segnce.world import SCENE_DRIFT, WALK_SIGMA, World, WorldConfig
+
+from conftest import render_one
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +91,14 @@ def test_divergence_names_step_seed_and_learning_rate(tiny_ckpt, demos):
     assert info.value.iteration == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradient_overflow_raises_instead_of_stalling(tiny_ckpt, demos):
+    # at 1e30 the loss stays finite while Adam's second moment would
+    # overflow to inf and freeze the weights it belongs to
+    with pytest.raises(TrainingDivergedError, match=r"gradient norm inf at step 1 \(seed 5, learning_rate 1e\+30\)"):
+        train_bc(tiny_ckpt, demos, BcConfig(learning_rate=1e30, steps=30, seed=5))
+
+
 def test_demo_without_actions_rejected(tiny_ckpt, world):
     bad = Trajectory(
         observations=np.zeros((5, world.config.d_obs)),
@@ -117,7 +127,7 @@ def test_random_actions_near_zero_success(world):
         state = world.sample_start(task, rng)
         for _ in range(world.config.h_max):
             state = world.step(state, rng.uniform(-1, 1, world.config.d_act))
-            world.advance_distractors(state, rng)
+            advance_distractors(world, state, rng)
         wins += world.success(state, world.instruction_for_task(task))
     assert wins / episodes <= 0.1
 
@@ -130,40 +140,48 @@ def test_evaluation_deterministic(tiny_ckpt, world, demos):
     assert a == b
 
 
+def advance_distractors(world, state, rng):
+    """Reference per-state distractor step: scene drift, then the walk."""
+    state.distractors[: world.n_scene] += rng.normal(0.0, SCENE_DRIFT, world.n_scene)
+    state.distractors[world.n_scene :] += rng.normal(0.0, WALK_SIGMA, world.n_walk)
+
+
 def one_episode_at_a_time(policy, ckpt, world, instruction, episodes, seed):
     """Reference closed loop: each episode runs to the end before the next
-    starts, with one-row embedding and policy calls."""
+    starts, with per-state render, step and distractor update and one-row
+    embedding and policy calls."""
     psi = embed_instructions(ckpt, [instruction])[0]
     finals = []
     for child in np.random.SeedSequence([seed, 0xBCE]).spawn(episodes):
         rng = np.random.default_rng(child)
         state = world.sample_start(world.task_for_instruction(instruction), rng)
         for _ in range(world.config.h_max):
-            phi = embed_frames(ckpt, world.render(state, rng)[None])[0]
+            phi = embed_frames(ckpt, render_one(world, state.task, state.z, state.distractors, rng)[None])[0]
             action = world.clamp_actions(policy_action(policy, np.concatenate([phi, psi, [state.z]])))
             state = world.step(state, action)
-            world.advance_distractors(state, rng)
+            advance_distractors(world, state, rng)
         finals.append((world.success(state, instruction), state.z))
     return finals
 
 
 def test_lock_step_matches_one_episode_at_a_time(tiny_ckpt, world, demos, monkeypatch):
     policy = train_bc(tiny_ckpt, demos, BcConfig(steps=300, seed=0))
-    for task in (0, 3, 6):
-        instruction = world.instruction_for_task(task)
-        want = one_episode_at_a_time(policy, tiny_ckpt, world, instruction, 6, seed=task)
-        finals = []
+    for world in (world, World(WorldConfig(noise=0.0))):  # with and without render noise
+        for task in (0, 3, 6):
+            instruction = world.instruction_for_task(task)
+            want = one_episode_at_a_time(policy, tiny_ckpt, world, instruction, 6, seed=task)
+            finals = []
 
-        def recording_success(state, ins, success=world.success):
-            finals.append((success(state, ins), state.z))
-            return finals[-1][0]
+            def recording_success(state, ins, success=world.success):
+                finals.append((success(state, ins), state.z))
+                return finals[-1][0]
 
-        monkeypatch.setattr(world, "success", recording_success)
-        [won] = _closed_loop_successes(policy, tiny_ckpt, world, [instruction], [task], 6)
-        monkeypatch.undo()
-        assert [w for w, _ in finals] == [w for w, _ in want]
-        assert won == [w for w, _ in want]
-        np.testing.assert_allclose([z for _, z in finals], [z for _, z in want], rtol=0, atol=1e-12)
+            monkeypatch.setattr(world, "success", recording_success)
+            [won] = _closed_loop_successes(policy, tiny_ckpt, world, [instruction], [task], 6)
+            monkeypatch.undo()
+            assert [w for w, _ in finals] == [w for w, _ in want]
+            assert won == [w for w, _ in want]
+            np.testing.assert_allclose([z for _, z in finals], [z for _, z in want], rtol=0, atol=1e-12)
 
 
 def test_all_instructions_in_lock_step_match_one_instruction_at_a_time(tiny_ckpt, world, demos):

@@ -21,6 +21,7 @@ from segnce.objectives import (
     segment_reward_potential,
     segment_reward_transition,
 )
+from segnce import training
 from segnce.sampling import Segment, sample_batch
 from segnce.training import (
     Adam,
@@ -214,6 +215,13 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError) as excinfo:
             train(small_config(learning_rate=1e150, optimizer="sgd", iterations=50), small_dataset)
         assert "iteration" in str(excinfo.value)
+
+    def test_non_finite_gradient_norm_names_iteration_seed_and_learning_rate(self, small_dataset, monkeypatch):
+        norms = iter([1.0, 2.0, float("inf")])
+        monkeypatch.setattr(training, "_grad_norm", lambda leaves: next(norms))
+        with pytest.raises(TrainingDivergedError, match=r"gradient norm inf at iteration 2 \(seed 0, learning_rate 0\.001\)") as excinfo:
+            train(small_config(iterations=5), small_dataset)
+        assert excinfo.value.iteration == 2
 
     @pytest.mark.parametrize("variant", ["p", "t4", "frame-align"])
     def test_other_variants_train(self, small_dataset, variant):

@@ -7,8 +7,11 @@ from scipy import stats as sstats
 from segnce.encoders import Instruction
 from segnce.errors import DatasetFormatError, VocabularyError
 from segnce.world import (
+    EXPERT_PACE,
+    SCENE_DRIFT,
     STEP_GAIN,
     SUCCESS_THRESHOLD,
+    WALK_SIGMA,
     LatentState,
     World,
     WorldConfig,
@@ -17,10 +20,37 @@ from segnce.world import (
 )
 from segnce.training import read_array_archive, write_array_archive
 
+from conftest import render_one
+
 
 @pytest.fixture(scope="module")
 def world():
     return World(WorldConfig())
+
+
+def expert_one_frame_at_a_time(world, task, rng):
+    """Reference expert: one ``step``, distractor update and render per frame,
+    each noise source drawn by its own ``normal`` call."""
+    cfg = world.config
+    d = world.direction(task)
+    state = world.sample_start(task, rng)
+    observations = [render_one(world, task, state.z, state.distractors, rng)]
+    zs, actions = [state.z], []
+    while not (state.z >= 1.0 and len(zs) >= cfg.h_min) and len(zs) < cfg.h_max:
+        if state.z >= 1.0:
+            action = np.zeros(cfg.d_act)
+        else:
+            pace = rng.uniform(*EXPERT_PACE)
+            if len(zs) == cfg.h_max - 1:
+                pace = (1.0 - state.z) / STEP_GAIN
+            action = world.clamp_actions(pace * d)
+        state = world.step(state, action)
+        state.distractors[: world.n_scene] += rng.normal(0.0, SCENE_DRIFT, world.n_scene)
+        state.distractors[world.n_scene :] += rng.normal(0.0, WALK_SIGMA, world.n_walk)
+        actions.append(action)
+        zs.append(state.z)
+        observations.append(render_one(world, task, state.z, state.distractors, rng))
+    return np.array(observations), np.array(actions), np.array(zs)
 
 
 class TestInstructions:
@@ -80,7 +110,7 @@ class TestDynamics:
 class TestRendering:
     def test_zero_noise_render_at_z0_is_base_point(self, world):
         state = world.sample_start(3, np.random.default_rng(1))
-        obs = world.render(state)
+        [obs] = world.render(state.task, [state.z], state.distractors)
         np.testing.assert_allclose(obs[: world.n_task], 0.0, atol=1e-12)
         np.testing.assert_allclose(obs[world.n_task :], state.distractors)
 
@@ -97,18 +127,27 @@ class TestRendering:
         rng = np.random.default_rng(2)
         state = world.sample_start(5, rng)
         for z in (0.0, 0.3, 1.0):
-            state = LatentState(task=5, z=z, distractors=state.distractors)
             np.testing.assert_allclose(
                 world.render_batch(5, np.array([z]), state.distractors)[0],
-                world.render(state),
+                world.render(5, [z], state.distractors)[0],
                 atol=1e-12,
             )
 
     def test_seeded_render_reproducible(self, world):
         state = world.sample_start(2, np.random.default_rng(3))
-        a = world.render(state, np.random.default_rng(9))
-        b = world.render(state, np.random.default_rng(9))
+        noise = [np.random.default_rng(9).normal(0.0, world.config.noise, (1, world.config.d_obs)) for _ in range(2)]
+        a, b = (world.render(2, [state.z], state.distractors, n) for n in noise)
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a - noise[0], world.render(2, [state.z], state.distractors))
+
+    def test_rows_match_per_frame_render_bit_for_bit(self, world):
+        rng = np.random.default_rng(4)
+        tasks = rng.integers(0, world.config.n_tasks, 200)
+        zs = rng.uniform(0.0, 1.0, 200)
+        distractors = rng.normal(size=(200, world.n_scene + world.n_walk))
+        noise = rng.normal(0.0, world.config.noise, (200, world.config.d_obs))
+        want = [render_one(world, t, z, d) + e for t, z, d, e in zip(tasks, zs, distractors, noise)]
+        np.testing.assert_array_equal(world.render(tasks, zs, distractors, noise), want)
 
 
 class TestGeneration:
@@ -155,6 +194,28 @@ class TestGeneration:
     def test_experts_reach_success(self, world):
         for traj in world.generate(100, seed=14):
             assert traj.progression[-1] > SUCCESS_THRESHOLD
+
+    @pytest.mark.parametrize(
+        "config",
+        [WorldConfig(), WorldConfig(noise=0.0), WorldConfig(h_min=6, h_max=6),
+         WorldConfig(task_pairs=2, d_obs=17, noise=0.3, h_min=2, h_max=60, d_act=3, seed=3)],
+        ids=["default", "noise-0", "fixed-length", "odd-shape"],
+    )
+    def test_matches_one_frame_at_a_time_bit_for_bit(self, config):
+        world = World(config)
+        for seed in (0, 1, 9):
+            children = np.random.SeedSequence([seed, 0xDA7A]).spawn(12)
+            rngs = [np.random.default_rng(child) for child in children]
+            want = [expert_one_frame_at_a_time(world, int(rng.integers(0, config.n_tasks)), rng) for rng in rngs]
+            children = np.random.SeedSequence([seed, 0xDE40]).spawn(2 * config.n_tasks)
+            want += [expert_one_frame_at_a_time(world, i % config.n_tasks, np.random.default_rng(child))
+                     for i, child in enumerate(children)]
+            got = world.generate(12, seed=seed) + world.generate_demos(2, seed=seed)
+            assert len(got) == len(want)
+            for traj, (observations, actions, zs) in zip(got, want):
+                assert traj.observations.tobytes() == observations.tobytes()
+                assert traj.actions.tobytes() == actions.tobytes()
+                assert traj.progression.tobytes() == zs.tobytes()
 
     def test_balanced_demos(self, world):
         demos = world.generate_demos(3, seed=15)
