@@ -46,9 +46,9 @@ from .sampling import (
     Segment,
     Trajectory,
     empirical_goal_histogram,
+    frame_positions,
     goal_probability,
     sample_batch,
-    sample_segment,
 )
 from .training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
 from .world import LatentState, World, WorldConfig, load_dataset, save_dataset
@@ -77,6 +77,7 @@ __all__ = [
     "encode_observations",
     "finite_difference_check",
     "frame_alignment_loss",
+    "frame_positions",
     "goal_probability",
     "init_mlp",
     "init_params",
@@ -89,7 +90,6 @@ __all__ = [
     "potential_batch_loss",
     "potential_step_reward",
     "sample_batch",
-    "sample_segment",
     "save_checkpoint",
     "save_dataset",
     "segment_logits",

@@ -18,9 +18,9 @@ import numpy as np
 from .autodiff import COSINE_EPS, mlp_apply, no_grad, normalize_rows
 from .encoders import Instruction, encode_instructions
 from .errors import EmptyInputError, ShapeMismatchError
-from .objectives import BatchEmbeddings, segment_logits
-from .sampling import Segment, Trajectory
-from .training import Checkpoint
+from .objectives import segment_logits
+from .sampling import Segment, Trajectory, frame_positions
+from .training import Checkpoint, batch_embeddings
 
 
 @dataclass
@@ -86,27 +86,14 @@ def segment_score(
     ckpt: Checkpoint, segments: Sequence[Segment], instructions: Sequence[Instruction]
 ) -> np.ndarray:
     """(S, I) rewards of every segment under every instruction, with the
-    checkpoint's own objective.
-
-    The frames each reward reads (the endpoints, the k+1 hop frames of a
-    multi-frame variant, or the goal frame for frame alignment) are embedded
-    in one frozen pass, the instructions in another, and ``segment_logits``
-    scores the whole grid.
-    """
+    checkpoint's own objective. The frames each reward reads (the goal frame
+    for frame alignment) go through training's gather in one frozen pass, the
+    instructions through another, and ``segment_logits`` scores the grid."""
     spec = ckpt.objective
-    obs = np.stack([
-        s.trajectory.observations[[s.goal] if spec.variant == "frame-align" else s.frame_indices(spec.hops)]
-        for s in segments
-    ])  # (S, frames per segment, d_obs)
-    emb = embed_frames(ckpt, obs.reshape(-1, obs.shape[-1])).reshape(*obs.shape[:2], -1)
-    frames = [emb[:, p] for p in range(emb.shape[1])]
-    batch = BatchEmbeddings(
-        starts=frames[0],
-        goals=frames[-1],
-        instructions=embed_instructions(ckpt, instructions),
-        intermediates=frames,
-        single=frames[-1],
-    )
+    starts, goals = np.array([(s.start, s.goal) for s in segments]).T
+    positions = goals[:, None] if spec.variant == "frame-align" else frame_positions(starts, goals, spec.hops)
+    batch = batch_embeddings(lambda obs: embed_frames(ckpt, obs), [s.trajectory.observations for s in segments],
+                             positions, embed_instructions(ckpt, instructions))
     return segment_logits(spec, batch).value
 
 

@@ -111,7 +111,7 @@ def _resolve(subcommand: str, config_file: str | None, flags: dict) -> dict:
     if config_file:
         try:
             loaded = json.loads(Path(config_file).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise EmptyInputError(f"unreadable config file {config_file}: {exc}") from exc
         resolved.update(_check_config(loaded, _OPTIONS[subcommand], config_file))
     resolved.update({k: v for k, v in flags.items() if v is not None})
@@ -403,7 +403,7 @@ def replay_manifest(manifest_path, out_map: dict | None = None) -> Path:
     """
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SegnceError(f"unreadable manifest {manifest_path}: {exc}") from exc
     subcommand = manifest.get("subcommand") if isinstance(manifest, dict) else None
     if not isinstance(subcommand, str) or subcommand not in _SUBCOMMANDS:

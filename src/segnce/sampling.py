@@ -1,18 +1,18 @@
-"""Trajectories, segments, and the random segment sampler.
+"""Trajectories, segments, the batch sampler and the frame-position rule.
 
-A segment is a (start, goal) index pair into a trajectory; only the two
-endpoint frames are ever materialized by consumers. The sampler draws the
-start uniformly over all frames but the last, then the goal uniformly over
-the frames after it, which makes later frames increasingly likely goals.
-``goal_probability`` gives that goal distribution in closed form for the
-raw process where the start may also land on the final frame (in which
-case no goal exists and the draw is a no-op).
+A segment is a (start, goal) index pair into a trajectory, and a training
+batch is a (B, 3) int64 array of (trajectory, start, goal) rows. The sampler
+draws the start uniformly over all frames but the last, then the goal
+uniformly over the frames after it, which makes later frames increasingly
+likely goals. ``goal_probability`` gives that goal distribution in closed
+form for the raw process where the start may also land on the final frame
+(in which case no goal exists and the draw is a no-op).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -74,20 +74,12 @@ class Segment:
     def instruction(self) -> Instruction:
         return self.trajectory.instruction
 
-    def frame_indices(self, k: int) -> np.ndarray:
-        """The k+1 evenly spaced frame indices start + floor((goal - start) * i / k)."""
-        i = np.arange(k + 1)
-        return self.start + ((self.goal - self.start) * i) // k
 
-
-def sample_segment(traj: Trajectory, rng: np.random.Generator) -> Segment:
-    """Draw start uniform over frames 0..h-2, goal uniform over the later frames."""
-    h = traj.h
-    if h < 2:
-        raise EmptyInputError(f"cannot sample a segment from a length-{h} trajectory")
-    start = int(rng.integers(0, h - 1))
-    goal = int(rng.integers(start + 1, h))
-    return Segment(traj, start, goal)
+def frame_positions(starts, goals, k: int) -> np.ndarray:
+    """(n, k+1) evenly spaced frame indices start + floor((goal - start) * i / k)
+    of every (start, goal) pair; k = 1 gives the endpoints."""
+    starts = np.asarray(starts, dtype=np.int64)[:, None]
+    return starts + (np.asarray(goals, dtype=np.int64)[:, None] - starts) * np.arange(k + 1) // k
 
 
 def goal_probability(h: int, t: int) -> float:
@@ -124,11 +116,21 @@ def empirical_goal_histogram(
     return counts / n_samples, float((~has_goal).sum() / n_samples)
 
 
-def sample_batch(dataset: Sequence[Trajectory], batch_size: int, rng: np.random.Generator) -> list[Segment]:
-    """Uniform-with-replacement trajectory draws, one segment per slot."""
-    if len(dataset) == 0:
+def sample_batch(lengths, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """(B, 3) int64 rows of (trajectory, start, goal) over trajectories of the
+    given ``lengths``: the trajectories in one uniform draw with replacement,
+    then per row a scalar start draw and a scalar goal draw, which keeps the
+    random stream of a sampler that draws one segment at a time."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if len(lengths) == 0:
         raise EmptyInputError("cannot sample a batch from an empty dataset")
     if batch_size < 2:
         raise EmptyInputError(f"batch size must be >= 2, got {batch_size}")
-    idx = rng.integers(0, len(dataset), size=batch_size)
-    return [sample_segment(dataset[i], rng) for i in idx]
+    if lengths.min() < 2:
+        raise EmptyInputError(f"cannot sample a segment from a length-{lengths.min()} trajectory")
+    trajectories = rng.integers(0, len(lengths), size=batch_size)
+    rows = []
+    for t, h in zip(trajectories.tolist(), lengths[trajectories].tolist()):
+        start = int(rng.integers(0, h - 1))
+        rows.append((t, start, int(rng.integers(start + 1, h))))
+    return np.array(rows, dtype=np.int64)

@@ -1,9 +1,10 @@
 """Stochastic-gradient training loop, optimizers, and checkpoint persistence.
 
-One iteration samples a batch of segments, embeds their endpoint frames and
-instruction labels, evaluates the configured contrastive loss, and updates
-both encoders jointly. The loop is fully determined by (seed, config,
-dataset); the loss and global gradient norm are recorded every iteration.
+One iteration samples a batch of (trajectory, start, goal) rows, embeds the
+frames and instruction labels they read, evaluates the configured
+contrastive loss, and updates both encoders jointly. The loop is fully
+determined by (seed, config, dataset); the loss and global gradient norm are
+recorded every iteration.
 
 Checkpoints, policies and datasets share one small binary container: magic,
 format version, a JSON header with a ``kind``, metadata and array shapes,
@@ -41,7 +42,7 @@ from .errors import (
     check_number,
 )
 from .objectives import BatchEmbeddings, ObjectiveSpec, batch_loss
-from .sampling import Trajectory, sample_batch
+from .sampling import Trajectory, frame_positions, sample_batch
 
 CHECKPOINT_MAGIC = b"SEGNCEAR"
 CHECKPOINT_VERSION = 1
@@ -174,27 +175,34 @@ def _grad_norm(leaves: Sequence[Tensor]) -> float:
     return float(np.sqrt(total))
 
 
-def _embed_batch(encoders: Encoders, spec: ObjectiveSpec, segments, rng) -> BatchEmbeddings:
-    """Embed every frame the batch needs in one vision pass, position-major
-    (the start frames of all segments, then the next position's, ...), and
-    each distinct instruction once."""
-    distinct = list(dict.fromkeys(s.instruction for s in segments))
-    row = {instruction: i for i, instruction in enumerate(distinct)}
+def batch_embeddings(embed, observations, positions: np.ndarray, instructions) -> BatchEmbeddings:
+    """Frame ``positions[j]`` of ``observations[j]`` for every row j, stacked
+    position-major, embedded by one ``embed`` call and split into one matrix
+    per position; the first and last are the starts and goals."""
+    n, width = positions.shape
+    frames = np.stack([obs[p] for obs, p in zip(observations, positions)], axis=1)
+    embedded = Tensor._lift(embed(frames.reshape(n * width, -1)))
+    mats = [embedded.slice_rows(i * n, (i + 1) * n) for i in range(width)]
+    return BatchEmbeddings(starts=mats[0], goals=mats[-1], instructions=instructions, intermediates=mats,
+                           single=mats[0])
+
+
+def _embed_batch(encoders: Encoders, spec: ObjectiveSpec, dataset, rows: np.ndarray, rng) -> BatchEmbeddings:
+    """Embed the frames of a batch of (trajectory, start, goal) rows in one
+    vision pass and each distinct instruction once. Frame alignment reads
+    one frame per row, drawn uniformly over its trajectory."""
+    trajectories = [dataset[t] for t in rows[:, 0].tolist()]
+    distinct = list(dict.fromkeys(t.instruction for t in trajectories))
+    index = {instruction: i for i, instruction in enumerate(distinct)}
     instructions = encode_instructions(encoders.language, distinct).take_rows(
-        [row[s.instruction] for s in segments]
-    )
+        [index[t.instruction] for t in trajectories])
+    observations = [t.observations for t in trajectories]
     if spec.variant == "frame-align":
-        positions = [[rng.integers(0, s.trajectory.h)] for s in segments]
+        positions = rng.integers(0, [len(obs) for obs in observations])[:, None]
     else:
-        positions = [s.frame_indices(spec.hops) for s in segments]
-    frames = np.stack([s.trajectory.observations[p] for s, p in zip(segments, positions)], axis=1)
-    embedded = encode_observations(encoders.vision, frames.reshape(-1, frames.shape[2]))
-    b = len(segments)
-    mats = [embedded.slice_rows(i * b, (i + 1) * b) for i in range(frames.shape[0])]
-    if spec.variant == "frame-align":
-        return BatchEmbeddings(single=mats[0], instructions=instructions)
-    return BatchEmbeddings(starts=mats[0], goals=mats[-1], instructions=instructions,
-                           intermediates=mats if spec.hops > 1 else None)
+        positions = frame_positions(rows[:, 1], rows[:, 2], spec.hops)
+    return batch_embeddings(lambda obs: encode_observations(encoders.vision, obs), observations, positions,
+                            instructions)
 
 
 def default_encoder_config(config: TrainConfig, dataset: Sequence[Trajectory],
@@ -221,13 +229,19 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
     leaves = encoders.leaves()
     optimizer = make_optimizer(config, leaves)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7E41]))
+    lengths = np.array([traj.h for traj in dataset])
 
     history = np.zeros((config.iterations, 3))
+
+    def snapshot(iteration: int) -> Checkpoint:
+        return Checkpoint(encoders=encoders, objective=config.objective, config=config,
+                          iteration=iteration, history=history[:iteration])
+
     for it in range(config.iterations):
-        segments = sample_batch(dataset, config.batch_size, rng)
+        rows = sample_batch(lengths, config.batch_size, rng)
         where = f"at iteration {it} (seed {config.seed}, learning_rate {config.learning_rate!r})"
         try:
-            loss = batch_loss(config.objective, _embed_batch(encoders, config.objective, segments, rng))
+            loss = batch_loss(config.objective, _embed_batch(encoders, config.objective, dataset, rows, rng))
             loss_value = float(loss.value)
         except NumericalError as exc:
             raise TrainingDivergedError(it, f"non-finite values {where}: {exc}") from exc
@@ -245,19 +259,8 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
             and (it + 1) % config.checkpoint_interval == 0
             and (it + 1) < config.iterations
         ):
-            snapshot = Checkpoint(
-                encoders=encoders, objective=config.objective, config=config,
-                iteration=it + 1, history=history[: it + 1],
-            )
-            save_checkpoint(snapshot, checkpoint_path)
-
-    return Checkpoint(
-        encoders=encoders,
-        objective=config.objective,
-        config=config,
-        iteration=config.iterations,
-        history=history,
-    )
+            save_checkpoint(snapshot(it + 1), checkpoint_path)
+    return snapshot(config.iterations)
 
 
 # ---- checkpoint container -----------------------------------------------------------
@@ -320,7 +323,7 @@ def read_array_archive(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointFormatError(f"truncated checkpoint header in {path}")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointFormatError(f"unreadable checkpoint header: {exc}") from exc
         try:
             meta = dict(header["meta"])

@@ -159,7 +159,8 @@ class World:
         return d if task % 2 == 0 else -d
 
     def clamp_actions(self, actions: np.ndarray) -> np.ndarray:
-        return np.clip(actions, -1.0, 1.0)
+        """``np.clip`` to [-1, 1] bit for bit, without its Python wrapper."""
+        return np.minimum(np.maximum(actions, -1.0), 1.0)
 
     def step(self, state: LatentState, action: np.ndarray) -> LatentState:
         """Deterministic latent transition; out-of-range actions are clamped

@@ -76,3 +76,20 @@ def render_one(world, task, z, distractors, rng=None):
     if rng is not None and world.config.noise > 0:
         obs += rng.normal(0.0, world.config.noise, world.config.d_obs)
     return obs
+
+
+def per_slot_sample_batch(lengths, batch_size, rng):
+    """The per-segment reference sampler: one vector draw of trajectory ids,
+    then per slot a scalar start draw and a scalar goal draw."""
+    rows = []
+    for t in rng.integers(0, len(lengths), size=batch_size):
+        h = int(lengths[t])
+        start = int(rng.integers(0, h - 1))
+        goal = int(rng.integers(start + 1, h))
+        rows.append((int(t), start, goal))
+    return rows
+
+
+def per_segment_frame_indices(start, goal, k):
+    """The per-segment reference rule start + floor((goal - start) * i / k)."""
+    return [start + ((goal - start) * i) // k for i in range(k + 1)]

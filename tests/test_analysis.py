@@ -23,7 +23,7 @@ from segnce.objectives import (
     segment_reward_potential,
     segment_reward_transition,
 )
-from segnce.sampling import Segment
+from segnce.sampling import Segment, frame_positions
 from segnce.training import Checkpoint, TrainConfig, train
 from segnce.world import World, WorldConfig
 
@@ -141,7 +141,8 @@ class TestHeatmap:
                     ref = cosine_similarity(phi(seg.goal), psi)
                 else:
                     hops = ckpt.objective.hops
-                    ref = multiframe_transition_reward([phi(t) for t in seg.frame_indices(hops)], psi, hops)
+                    positions = frame_positions([seg.start], [seg.goal], hops)[0]
+                    ref = multiframe_transition_reward([phi(t) for t in positions], psi, hops)
                 assert value == pytest.approx(ref, abs=1e-12)
 
 

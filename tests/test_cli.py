@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,22 @@ def _other_world_data(tmp, dataset_path, ckpt_path):
     return path
 
 
+# deeper than the interpreter's recursion limit lets ``json.loads`` go
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def _nested_archive(kind):
+    def make(tmp, dataset_path, ckpt_path):
+        from segnce.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
+        path = tmp / f"nested-{kind}.bin"
+        header = NESTED_JSON.encode("utf-8")
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(header)) + header)
+        paths = {"ckpt": path if kind == "ckpt" else ckpt_path, "data": path if kind == "data" else dataset_path}
+        return ["heatmap", "--ckpt", str(paths["ckpt"]), "--data", str(paths["data"]), "--out", str(tmp / "h.csv")]
+    return make
+
+
 def _heatmap_lengths(lengths):
     return lambda tmp, data, ckpt: [
         "heatmap", "--ckpt", str(ckpt), "--data", str(data), "--lengths", lengths, "--out", str(tmp / "h.csv")
@@ -318,7 +335,9 @@ MALFORMED_INPUTS = {
     "config-not-object": _config_file("5"),
     "config-str-count": _config_file('{"count": "5"}'),
     "config-float-count": _config_file('{"count": 2.5}'),
+    "config-deeply-nested": _config_file(NESTED_JSON),
     "manifest-not-json": _manifest(lambda m: "{"),
+    "manifest-deeply-nested": _manifest(lambda m: NESTED_JSON),
     "manifest-list": _manifest(lambda m: json.dumps([m])),
     "manifest-no-config": _manifest(lambda m: json.dumps({k: v for k, v in m.items() if k != "config"})),
     "manifest-unknown-subcommand": _manifest(lambda m: json.dumps({**m, "subcommand": "bogus"})),
@@ -328,6 +347,8 @@ MALFORMED_INPUTS = {
     "manifest-bad-value": _manifest(lambda m: json.dumps({**m, "config": {**m["config"], "count": "5"}})),
     "manifest-bad-inputs": _manifest(lambda m: json.dumps({**m, "inputs": ["x"]})),
     "data-binary": _heatmap_data(_binary_file),
+    "data-deeply-nested": _nested_archive("data"),
+    "ckpt-deeply-nested": _nested_archive("ckpt"),
     "data-checkpoint": _heatmap_data(lambda tmp, data, ckpt: ckpt),
     "data-unknown-world-key": _heatmap_data(_unknown_world_key),
     "heatmap-lengths-not-int": _heatmap_lengths("2,x"),

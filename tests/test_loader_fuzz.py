@@ -82,6 +82,16 @@ def test_split_join_round_trip(files):
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_deeply_nested_header(files, kind):
+    """A header nested deeper than ``json.loads`` can recurse is malformed."""
+    path, blob = files[kind]
+    nested = ("[" * 100_000 + "]" * 100_000).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(nested)) + nested)
+    with pytest.raises(SegnceError, match="unreadable checkpoint header"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
 @FUZZ
 @given(data=st.data())
 def test_truncated(files, kind, data):

@@ -6,13 +6,15 @@ import pytest
 from segnce.encoders import Instruction
 from segnce.errors import EmptyInputError, ShapeMismatchError
 from segnce.sampling import (
-    Segment,
     Trajectory,
     empirical_goal_histogram,
+    frame_positions,
     goal_probability,
     sample_batch,
-    sample_segment,
 )
+from segnce.world import World, WorldConfig
+
+from conftest import per_segment_frame_indices, per_slot_sample_batch
 
 
 def make_traj(h, instruction=Instruction(0, 8), d=3):
@@ -70,21 +72,18 @@ class TestGoalProbability:
 
 
 class TestSampleSegment:
+    """The per-row segment law of ``sample_batch`` and the ``frame_positions`` rule."""
+
     def test_h2_forced(self):
-        traj = make_traj(2)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            seg = sample_segment(traj, rng)
-            assert (seg.start, seg.goal) == (0, 1)
+        rows = sample_batch([2], 20, np.random.default_rng(0))
+        assert [(start, goal) for _, start, goal in rows.tolist()] == [(0, 1)] * 20
 
     def test_h3_enumeration(self):
-        traj = make_traj(3)
-        rng = np.random.default_rng(1)
-        counts = {}
         n = 30_000
-        for _ in range(n):
-            seg = sample_segment(traj, rng)
-            counts[(seg.start, seg.goal)] = counts.get((seg.start, seg.goal), 0) + 1
+        rows = sample_batch([3], n, np.random.default_rng(1))
+        counts = {}
+        for _, start, goal in rows.tolist():
+            counts[(start, goal)] = counts.get((start, goal), 0) + 1
         assert set(counts) == {(0, 1), (0, 2), (1, 2)}
         # start uniform over {0, 1}; goal uniform over the later frames
         assert counts[(0, 1)] / n == pytest.approx(0.25, abs=0.01)
@@ -94,28 +93,48 @@ class TestSampleSegment:
     def test_h4_last_goal_conditional_frequency(self):
         # conditioned on a goal existing, frame 4 is drawn with probability
         # (11/24)/(3/4) = 11/18; the sampler implements the conditional law
-        traj = make_traj(4)
         rng = np.random.default_rng(2)
-        n = 1_000_000
-        hits = sum(sample_segment(traj, rng).goal == 3 for _ in range(n))
+        n, chunk = 1_000_000, 10_000
+        hits = sum(int((sample_batch([4], chunk, rng)[:, 2] == 3).sum()) for _ in range(n // chunk))
         assert hits / n == pytest.approx(11 / 18, abs=0.005)
 
     def test_degenerate_trajectory_rejected(self):
         with pytest.raises(ShapeMismatchError):
             make_traj(1)
+        with pytest.raises(EmptyInputError):
+            sample_batch([5, 1], 4, np.random.default_rng(0))
 
     def test_segment_invariants(self):
-        traj = make_traj(10)
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            seg = sample_segment(traj, rng)
-            assert 0 <= seg.start < seg.goal <= traj.h - 1
+        rows = sample_batch([10], 500, np.random.default_rng(3))
+        assert np.all(rows[:, 0] == 0)
+        assert np.all((0 <= rows[:, 1]) & (rows[:, 1] < rows[:, 2]) & (rows[:, 2] <= 9))
 
     def test_frame_indices_even_spacing(self):
-        traj = make_traj(30)
-        seg = Segment(traj, 4, 24)
-        np.testing.assert_array_equal(seg.frame_indices(4), [4, 9, 14, 19, 24])
-        np.testing.assert_array_equal(Segment(traj, 3, 5).frame_indices(4), [3, 3, 4, 4, 5])
+        np.testing.assert_array_equal(frame_positions([4, 3], [24, 5], 4), [[4, 9, 14, 19, 24], [3, 3, 4, 4, 5]])
+        np.testing.assert_array_equal(frame_positions([4], [24], 1), [[4, 24]])
+
+
+class TestStreamIdentity:
+    """``sample_batch`` and ``frame_positions`` reproduce the per-segment
+    reference draw for draw, so training's loss stream stays the same."""
+
+    @pytest.mark.parametrize("config", [WorldConfig(), WorldConfig(h_min=2, h_max=2), WorldConfig(h_min=2, h_max=4)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_rows_equal_per_slot_reference(self, config, seed):
+        lengths = np.array([t.h for t in World(config).generate(25, seed=seed)])
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for batch_size in (2, 17, 64):
+            rows = sample_batch(lengths, batch_size, rng)
+            assert rows.dtype == np.int64 and rows.shape == (batch_size, 3)
+            assert rows.tolist() == [list(r) for r in per_slot_sample_batch(lengths, batch_size, ref_rng)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_positions_equal_per_segment_reference(self):
+        rng = np.random.default_rng(4)
+        rows = sample_batch(rng.integers(2, 40, size=30), 200, rng)
+        for k in (1, 4, 8):
+            want = [per_segment_frame_indices(start, goal, k) for _, start, goal in rows.tolist()]
+            assert frame_positions(rows[:, 1], rows[:, 2], k).tolist() == want
 
 
 class TestEmpiricalHistogram:
@@ -147,29 +166,25 @@ class TestEmpiricalHistogram:
 
 class TestSampleBatch:
     def test_single_trajectory_dataset(self):
-        traj = make_traj(5)
-        batch = sample_batch([traj], 4, np.random.default_rng(0))
+        batch = sample_batch([5], 4, np.random.default_rng(0))
         assert len(batch) == 4
-        assert all(s.instruction == traj.instruction for s in batch)
+        assert np.all(batch[:, 0] == 0)
 
     def test_seed_determinism(self):
-        data = [make_traj(h) for h in (5, 9, 14)]
-        a = sample_batch(data, 8, np.random.default_rng(42))
-        b = sample_batch(data, 8, np.random.default_rng(42))
-        assert [(s.start, s.goal) for s in a] == [(s.start, s.goal) for s in b]
-        assert [id(s.trajectory) for s in a] == [id(s.trajectory) for s in b]
+        lengths = [5, 9, 14]
+        a = sample_batch(lengths, 8, np.random.default_rng(42))
+        b = sample_batch(lengths, 8, np.random.default_rng(42))
+        np.testing.assert_array_equal(a, b)
 
     def test_two_distinct_instructions_give_mismatched_pair(self):
-        data = [make_traj(5, Instruction(0, 8)), make_traj(5, Instruction(1, 8))]
-        rng = np.random.default_rng(1)
-        batch = sample_batch(data * 4, 2, rng)
+        batch = sample_batch([5] * 8, 2, np.random.default_rng(1))
         assert len(batch) == 2
 
     def test_errors(self):
         with pytest.raises(EmptyInputError):
             sample_batch([], 4, np.random.default_rng(0))
         with pytest.raises(EmptyInputError):
-            sample_batch([make_traj(5)], 1, np.random.default_rng(0))
+            sample_batch([5], 1, np.random.default_rng(0))
 
     def test_actions_length_validated(self):
         with pytest.raises(ShapeMismatchError):

@@ -22,7 +22,7 @@ from segnce.objectives import (
     segment_reward_transition,
 )
 from segnce import training
-from segnce.sampling import Segment, sample_batch
+from segnce.sampling import Segment, frame_positions, sample_batch
 from segnce.training import (
     Adam,
     Sgd,
@@ -36,6 +36,8 @@ from segnce.training import (
     write_array_archive,
 )
 from segnce.world import World, WorldConfig
+
+from conftest import per_segment_frame_indices
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +231,10 @@ class TestTrainLoop:
         assert np.all(np.isfinite(ckpt.history[:, 1]))
 
 
+def lengths(dataset):
+    return np.array([traj.h for traj in dataset])
+
+
 def _encoders(dataset, variant):
     spec = ObjectiveSpec(variant=variant)
     return spec, init_params(default_encoder_config(small_config(objective=spec), dataset), seed=0)
@@ -242,7 +248,7 @@ class TestLeanGraph:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            batch = _embed_batch(enc, spec, sample_batch(small_dataset, 8, rng), rng)
+            batch = _embed_batch(enc, spec, small_dataset, sample_batch(lengths(small_dataset), 8, rng), rng)
             interior = weakref.ref(batch.intermediates[4])
             loss = batch_loss(spec, batch)
             del batch
@@ -295,20 +301,24 @@ def test_stacked_embedding_matches_reference_rewards(small_dataset, variant):
     logits of the per-vector reference rewards."""
     spec, enc = _encoders(small_dataset, variant)
     rng = np.random.default_rng(1)
-    short = Segment(small_dataset[0], 0, 2)  # t8 repeats its frame indices
-    segments = [short, *sample_batch(small_dataset, 15, rng)]
+    # the first row is short enough that t8 repeats its frame positions
+    rows = np.vstack([[0, 0, 2], sample_batch(lengths(small_dataset), 15, rng)])
+    segments = [Segment(small_dataset[t], start, goal) for t, start, goal in rows.tolist()]
     frame_rng = copy.deepcopy(rng)
-    batch = _embed_batch(enc, spec, segments, rng)
+    batch = _embed_batch(enc, spec, small_dataset, rows, rng)
     logits = segment_logits(spec, batch).value
 
     def phi(segment, index):
         return encode_observations(enc.vision, segment.trajectory.observations[index]).value
 
+    def hop_frames(segment, k):
+        return frame_positions([segment.start], [segment.goal], k)[0]
+
     reward = {
         "p": lambda s, psi: segment_reward_potential(phi(s, s.start), phi(s, s.goal), psi),
         "t": lambda s, psi: segment_reward_transition(phi(s, s.start), phi(s, s.goal), psi),
-        "t4": lambda s, psi: multiframe_transition_reward([phi(s, i) for i in s.frame_indices(4)], psi, 4),
-        "t8": lambda s, psi: multiframe_transition_reward([phi(s, i) for i in s.frame_indices(8)], psi, 8),
+        "t4": lambda s, psi: multiframe_transition_reward([phi(s, i) for i in hop_frames(s, 4)], psi, 4),
+        "t8": lambda s, psi: multiframe_transition_reward([phi(s, i) for i in hop_frames(s, 8)], psi, 8),
     }.get(variant)
     for j, segment in enumerate(segments):
         if variant == "frame-align":
@@ -320,9 +330,52 @@ def test_stacked_embedding_matches_reference_rewards(small_dataset, variant):
 
     if variant == "t8":
         hops = [b.value[0] - a.value[0] for a, b in zip(batch.intermediates[:-1], batch.intermediates[1:])]
-        index = short.frame_indices(8)
+        index = hop_frames(segments[0], 8)
         repeated = [hop for hop, a, b in zip(hops, index[:-1], index[1:]) if a == b]
         assert len(repeated) == 6 and not np.any(repeated)
+
+
+def per_segment_frames(spec, segments, rng):
+    """The per-segment reference gather: each segment's own frame indices (for
+    frame alignment one scalar draw per slot), gathered segment by segment
+    and stacked position-major into one (positions * B, d_obs) matrix."""
+    if spec.variant == "frame-align":
+        positions = [[rng.integers(0, s.trajectory.h)] for s in segments]
+    else:
+        positions = [per_segment_frame_indices(s.start, s.goal, spec.hops) for s in segments]
+    frames = np.stack([s.trajectory.observations[p] for s, p in zip(segments, positions)], axis=1)
+    return frames.reshape(-1, frames.shape[2])
+
+
+@pytest.mark.parametrize("config", [WorldConfig(), WorldConfig(h_min=2, h_max=2), WorldConfig(h_min=2, h_max=5)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_embedded_frames_equal_per_segment_reference(monkeypatch, config, variant):
+    """``_embed_batch`` embeds, bit for bit, the frames of the per-segment
+    reference gather, and consumes the random stream as it does."""
+    dataset = World(config).generate(12, seed=3)
+    spec, enc = _encoders(dataset, variant)
+    seen = []
+
+    def recording(params, obs):
+        seen.append(obs.copy())
+        return encode_observations(params, obs)
+
+    monkeypatch.setattr(training, "encode_observations", recording)
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        rows = sample_batch(lengths(dataset), 16, rng)
+        ref_rng = copy.deepcopy(rng)
+        batch = _embed_batch(enc, spec, dataset, rows, rng)
+        segments = [Segment(dataset[t], start, goal) for t, start, goal in rows.tolist()]
+        want = per_segment_frames(spec, segments, ref_rng)
+        assert np.array_equal(seen.pop(), want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        embedded = encode_observations(enc.vision, want).value.reshape(-1, 16, enc.config.embed_dim)
+        assert len(batch.intermediates) == len(embedded)
+        for got, ref in zip(batch.intermediates, embedded):
+            assert np.array_equal(got.value, ref)
+        assert batch.starts is batch.intermediates[0] and batch.goals is batch.intermediates[-1]
+        assert batch.single is batch.intermediates[0]
 
 
 class TestCheckpointIo:

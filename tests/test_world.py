@@ -103,6 +103,11 @@ class TestDynamics:
         world.step(state, np.full(world.config.d_act, 5.0))
         assert world.action_clamps == before + 1
 
+    def test_clamp_actions_equals_clip_bit_for_bit(self, world):
+        actions = np.random.default_rng(5).normal(0.0, 2.0, size=(1000, world.config.d_act))
+        actions.flat[:6] = [np.nan, np.inf, -np.inf, -0.0, 1.0, -1.0]
+        assert world.clamp_actions(actions).tobytes() == np.clip(actions, -1.0, 1.0).tobytes()
+
     def test_mirror_direction_is_negated(self, world):
         np.testing.assert_allclose(world.direction(1), -world.direction(0))
 
