@@ -29,18 +29,14 @@ from .encoders import (
     init_params,
 )
 from .objectives import (
-    BatchEmbeddings,
     ObjectiveSpec,
     batch_loss,
     bt_probability,
-    frame_alignment_loss,
     multiframe_transition_reward,
-    potential_batch_loss,
     potential_step_reward,
     segment_logits,
     segment_reward_potential,
     segment_reward_transition,
-    transition_batch_loss,
 )
 from .sampling import (
     Segment,
@@ -54,7 +50,6 @@ from .training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint,
 from .world import LatentState, World, WorldConfig, load_dataset, save_dataset
 
 __all__ = [
-    "BatchEmbeddings",
     "Checkpoint",
     "EncoderConfig",
     "Encoders",
@@ -76,7 +71,6 @@ __all__ = [
     "encode_instructions",
     "encode_observations",
     "finite_difference_check",
-    "frame_alignment_loss",
     "frame_positions",
     "goal_probability",
     "init_mlp",
@@ -87,7 +81,6 @@ __all__ = [
     "mlp_apply",
     "multiframe_transition_reward",
     "no_grad",
-    "potential_batch_loss",
     "potential_step_reward",
     "sample_batch",
     "save_checkpoint",
@@ -96,7 +89,6 @@ __all__ = [
     "segment_reward_potential",
     "segment_reward_transition",
     "train",
-    "transition_batch_loss",
 ]
 
 __version__ = "0.1.0"

@@ -92,9 +92,9 @@ def segment_score(
     spec = ckpt.objective
     starts, goals = np.array([(s.start, s.goal) for s in segments]).T
     positions = goals[:, None] if spec.variant == "frame-align" else frame_positions(starts, goals, spec.hops)
-    batch = batch_embeddings(lambda obs: embed_frames(ckpt, obs), [s.trajectory.observations for s in segments],
-                             positions, embed_instructions(ckpt, instructions))
-    return segment_logits(spec, batch).value
+    frames = batch_embeddings(lambda obs: embed_frames(ckpt, obs), [s.trajectory.observations for s in segments],
+                              positions)
+    return segment_logits(spec, frames, embed_instructions(ckpt, instructions)).value
 
 
 def reward_heatmap(

@@ -14,16 +14,19 @@ and sum the per-hop transition rewards; the single-frame alignment arm
 drops segments entirely and aligns one frame with the instruction, and
 exists as a comparison arm.
 
-``segment_logits`` is the one batched form of these rewards. The batch loss
-contrasts its matched entries against all in-batch mismatches in both
-directions, InfoNCE style, and the heatmap reads it as the reward. The
-per-vector helpers are the reference it is checked against.
+``segment_logits`` is the one batched form of these rewards. It reads a
+position-major list of (B, K) frame embedding matrices (the endpoints, the
+k+1 hop frames, or the one aligned frame) against (I, K) instruction
+embeddings. The batch loss contrasts its matched entries against all
+in-batch mismatches in both directions, InfoNCE style, and the heatmap
+reads it as the reward. The per-vector helpers are the reference it is
+checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -60,26 +63,10 @@ class ObjectiveSpec:
         return _MULTIFRAME_HOPS.get(self.variant, 1)
 
     @property
-    def n_sample_points(self) -> int:
-        return self.hops + 1
-
-
-@dataclass
-class BatchEmbeddings:
-    """Per-segment embeddings a batch loss consumes.
-
-    ``starts``/``goals``/``instructions`` are (B, K) matrices (Tensor while
-    training; ndarrays are lifted as constants). ``intermediates`` holds the
-    k+1 evenly spaced frame embeddings for multi-frame variants, as a list
-    of (B, K) matrices ordered along the segment. ``single`` is the one
-    randomly chosen frame per trajectory used by the frame-alignment arm.
-    """
-
-    starts: "Tensor | np.ndarray | None" = None
-    goals: "Tensor | np.ndarray | None" = None
-    instructions: "Tensor | np.ndarray | None" = None
-    intermediates: Optional[list] = None
-    single: "Tensor | np.ndarray | None" = None
+    def n_frames(self) -> int:
+        """Frame embedding matrices a batch of this variant reads: one for
+        frame alignment, else the hops + 1 frames along each segment."""
+        return 1 if self.variant == "frame-align" else self.hops + 1
 
 
 # ---- rewards ---------------------------------------------------------------------
@@ -149,48 +136,24 @@ def infonce_pair_loss(logits) -> Tensor:
     return (col.sum() + row.sum() - 2.0 * logits.diagonal().sum()) * (1.0 / b)
 
 
-def segment_logits(spec: ObjectiveSpec, batch: BatchEmbeddings):
-    """(B, I) reward of each segment in ``batch`` under each row of
-    ``batch.instructions``, in ``spec``'s form: endpoint similarity change
-    (``p``), displacement direction (``t``), summed per-hop directions over
-    ``intermediates`` (``t4``/``t8``) or ``single``-frame similarity
-    (``frame-align``)."""
-    ins = batch.instructions
+def segment_logits(spec: ObjectiveSpec, frames: Sequence, instructions):
+    """(B, I) reward of each segment under each row of ``instructions``, in
+    ``spec``'s form, from the ``spec.n_frames`` position-major (B, K) frame
+    matrices in ``frames``: endpoint similarity change (``p``), one frame's
+    similarity (``frame-align``), or summed per-hop displacement directions
+    (``t`` is the one-hop case of ``t4``/``t8``)."""
+    if len(frames) != spec.n_frames:
+        raise ShapeMismatchError(
+            f"objective {spec.variant!r} needs {spec.n_frames} frame embedding matrices, got {len(frames)}")
     if spec.variant == "p":
-        return cosine_matrix(batch.goals, ins) - cosine_matrix(batch.starts, ins)
-    if spec.variant == "t":
-        return cosine_matrix(batch.goals - batch.starts, ins)
+        return cosine_matrix(frames[1], instructions) - cosine_matrix(frames[0], instructions)
     if spec.variant == "frame-align":
-        if batch.single is None:
-            raise ShapeMismatchError("frame-alignment logits need single-frame embeddings")
-        return cosine_matrix(batch.single, ins)
-    frames = batch.intermediates
-    if frames is None or len(frames) != spec.n_sample_points:
-        got = 0 if frames is None else len(frames)
-        raise ShapeMismatchError(f"expected {spec.n_sample_points} frame embedding matrices, got {got}")
+        return cosine_matrix(frames[0], instructions)
     # every hop's displacements in one (hops * B, I) product, then summed in hop order
-    hop_logits = cosine_matrix(concat_rows([b - a for a, b in zip(frames[:-1], frames[1:])]), ins)
+    hop_logits = cosine_matrix(concat_rows([b - a for a, b in zip(frames[:-1], frames[1:])]), instructions)
     return hop_logits.reshape((spec.hops, -1, hop_logits.shape[1])).sum(axis=0)
 
 
-def batch_loss(spec: ObjectiveSpec, batch: BatchEmbeddings):
+def batch_loss(spec: ObjectiveSpec, frames: Sequence, instructions):
     """InfoNCE over ``spec``'s segment logits, scaled by 1/temperature."""
-    return infonce_pair_loss(segment_logits(spec, batch) * (1.0 / spec.temperature))
-
-
-# per-variant entry points for callers that name the variant directly
-def potential_batch_loss(batch: BatchEmbeddings, temperature: float = 1.0):
-    return batch_loss(ObjectiveSpec("p", temperature=temperature), batch)
-
-
-def transition_batch_loss(batch: BatchEmbeddings, temperature: float = 1.0):
-    return batch_loss(ObjectiveSpec("t", temperature=temperature), batch)
-
-
-def multiframe_batch_loss(batch: BatchEmbeddings, k: int, temperature: float = 1.0):
-    """The ``t4`` (k=4) or ``t8`` (k=8) loss."""
-    return batch_loss(ObjectiveSpec(f"t{k}", temperature=temperature), batch)
-
-
-def frame_alignment_loss(batch: BatchEmbeddings, temperature: float = 1.0):
-    return batch_loss(ObjectiveSpec("frame-align", temperature=temperature), batch)
+    return infonce_pair_loss(segment_logits(spec, frames, instructions) * (1.0 / spec.temperature))

@@ -41,7 +41,7 @@ from .errors import (
     TrainingDivergedError,
     check_number,
 )
-from .objectives import BatchEmbeddings, ObjectiveSpec, batch_loss
+from .objectives import ObjectiveSpec, batch_loss
 from .sampling import Trajectory, frame_positions, sample_batch
 
 CHECKPOINT_MAGIC = b"SEGNCEAR"
@@ -71,6 +71,9 @@ class TrainConfig:
         check_number(EmptyInputError, "checkpoint_interval", self.checkpoint_interval)
         if self.optimizer not in ("adam", "sgd"):
             raise EmptyInputError(f"unknown optimizer {self.optimizer!r}")
+        if self.encoder is not None and self.encoder.embed_dim != self.objective.embed_dim:
+            raise ShapeMismatchError(f"encoder embed_dim {self.encoder.embed_dim} != objective embed_dim "
+                                     f"{self.objective.embed_dim}")
 
 
 @dataclass
@@ -175,22 +178,22 @@ def _grad_norm(leaves: Sequence[Tensor]) -> float:
     return float(np.sqrt(total))
 
 
-def batch_embeddings(embed, observations, positions: np.ndarray, instructions) -> BatchEmbeddings:
+def batch_embeddings(embed, observations, positions: np.ndarray) -> list[Tensor]:
     """Frame ``positions[j]`` of ``observations[j]`` for every row j, stacked
-    position-major, embedded by one ``embed`` call and split into one matrix
-    per position; the first and last are the starts and goals."""
+    position-major, embedded by one ``embed`` call and split into the
+    position-major list of (rows, K) matrices that ``segment_logits`` reads."""
     n, width = positions.shape
     frames = np.stack([obs[p] for obs, p in zip(observations, positions)], axis=1)
     embedded = Tensor._lift(embed(frames.reshape(n * width, -1)))
-    mats = [embedded.slice_rows(i * n, (i + 1) * n) for i in range(width)]
-    return BatchEmbeddings(starts=mats[0], goals=mats[-1], instructions=instructions, intermediates=mats,
-                           single=mats[0])
+    return [embedded.slice_rows(i * n, (i + 1) * n) for i in range(width)]
 
 
-def _embed_batch(encoders: Encoders, spec: ObjectiveSpec, dataset, rows: np.ndarray, rng) -> BatchEmbeddings:
-    """Embed the frames of a batch of (trajectory, start, goal) rows in one
-    vision pass and each distinct instruction once. Frame alignment reads
-    one frame per row, drawn uniformly over its trajectory."""
+def _embed_batch(encoders: Encoders, spec: ObjectiveSpec, dataset, rows: np.ndarray,
+                 rng) -> tuple[list[Tensor], Tensor]:
+    """The frame matrices and per-row instruction embeddings of a batch of
+    (trajectory, start, goal) rows: the frames in one vision pass, each
+    distinct instruction encoded once. Frame alignment reads one frame per
+    row, drawn uniformly over its trajectory."""
     trajectories = [dataset[t] for t in rows[:, 0].tolist()]
     distinct = list(dict.fromkeys(t.instruction for t in trajectories))
     index = {instruction: i for i, instruction in enumerate(distinct)}
@@ -201,8 +204,8 @@ def _embed_batch(encoders: Encoders, spec: ObjectiveSpec, dataset, rows: np.ndar
         positions = rng.integers(0, [len(obs) for obs in observations])[:, None]
     else:
         positions = frame_positions(rows[:, 1], rows[:, 2], spec.hops)
-    return batch_embeddings(lambda obs: encode_observations(encoders.vision, obs), observations, positions,
-                            instructions)
+    frames = batch_embeddings(lambda obs: encode_observations(encoders.vision, obs), observations, positions)
+    return frames, instructions
 
 
 def default_encoder_config(config: TrainConfig, dataset: Sequence[Trajectory],
@@ -241,7 +244,7 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
         rows = sample_batch(lengths, config.batch_size, rng)
         where = f"at iteration {it} (seed {config.seed}, learning_rate {config.learning_rate!r})"
         try:
-            loss = batch_loss(config.objective, _embed_batch(encoders, config.objective, dataset, rows, rng))
+            loss = batch_loss(config.objective, *_embed_batch(encoders, config.objective, dataset, rows, rng))
             loss_value = float(loss.value)
         except NumericalError as exc:
             raise TrainingDivergedError(it, f"non-finite values {where}: {exc}") from exc

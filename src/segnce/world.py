@@ -263,14 +263,6 @@ class World:
             return 1.0 - np.asarray(z, dtype=np.float64) if np.ndim(z) else 1.0 - z
         return np.full_like(np.asarray(z, dtype=np.float64), 0.5) if np.ndim(z) else 0.5
 
-    def progression_oracle(self, traj: Trajectory, instruction: Instruction) -> np.ndarray:
-        """Ground-truth per-frame completion of ``instruction`` along a
-        generated trajectory (matched task: z; mirror: 1 - z; unrelated: 0.5)."""
-        if traj.progression is None:
-            raise EmptyInputError("trajectory carries no ground-truth progression")
-        task = self.task_for_instruction(traj.instruction)
-        return np.asarray(self.progression_for(task, traj.progression, instruction))
-
     def success(self, state: LatentState, instruction: Instruction) -> bool:
         return float(self.progression_for(state.task, state.z, instruction)) > SUCCESS_THRESHOLD
 

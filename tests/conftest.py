@@ -12,7 +12,7 @@ from segnce.encoders import (
     encode_observations,
     init_params,
 )
-from segnce.objectives import BatchEmbeddings, ObjectiveSpec, batch_loss
+from segnce.objectives import ObjectiveSpec, batch_loss
 
 
 def loss_gradient_error(variant: str, seed: int, batch_size: int = 4, step: float = 1e-6) -> float:
@@ -28,7 +28,7 @@ def loss_gradient_error(variant: str, seed: int, batch_size: int = 4, step: floa
     shapes = [leaf.value.shape for leaf in leaves]
     flat = np.concatenate([leaf.value.reshape(-1) for leaf in leaves])
 
-    n_points = spec.n_sample_points if spec.hops > 1 else 2
+    n_points = max(spec.n_frames, 2)  # frame alignment reads the first of two
     frames = rng.normal(size=(n_points, batch_size, config.d_obs))
     instructions = [
         Instruction(int(rng.integers(0, 4)), int(rng.integers(4, 6))) for _ in range(batch_size)
@@ -53,14 +53,7 @@ def loss_gradient_error(variant: str, seed: int, batch_size: int = 4, step: floa
         model = Encoders(vision, InstructionEncoderParams(pieces[2 * n_vis], projection), config)
         psi = encode_instructions(model.language, instructions)
         embs = [encode_observations(model.vision, fr) for fr in frames]
-        be = BatchEmbeddings(
-            starts=embs[0],
-            goals=embs[-1],
-            instructions=psi,
-            intermediates=embs if spec.hops > 1 else None,
-            single=embs[0] if variant == "frame-align" else None,
-        )
-        return batch_loss(spec, be)
+        return batch_loss(spec, embs[: spec.n_frames], psi)
 
     return finite_difference_check(f, flat, step=step)
 

@@ -29,15 +29,11 @@ from segnce import analysis, imitation, planning
 from segnce.cli import heatmap_segments, main as cli_main, replay_manifest
 from segnce.encoders import EncoderConfig, init_params
 from segnce.objectives import (
-    BatchEmbeddings,
     ObjectiveSpec,
+    batch_loss,
     bt_probability,
-    frame_alignment_loss,
-    multiframe_batch_loss,
-    potential_batch_loss,
     potential_step_reward,
     segment_reward_potential,
-    transition_batch_loss,
 )
 from segnce.sampling import empirical_goal_histogram, goal_probability
 from segnce.training import Checkpoint, TrainConfig, load_checkpoint, train
@@ -255,17 +251,13 @@ def test_c04_equal_logit_closed_form():
         goals = np.tile(np.linspace(1, 2, k), (b, 1))
         instructions = np.tile(np.linspace(-1, 1, k), (b, 1))
         frames = [np.tile(np.linspace(1, 2, k) * (i + 1), (b, 1)) for i in range(9)]
-        be = BatchEmbeddings(
-            starts=starts, goals=goals, instructions=instructions,
-            intermediates=frames, single=goals,
-        )
         target = 2 * np.log(b)
         for value in (
-            potential_batch_loss(be),
-            transition_batch_loss(be),
-            multiframe_batch_loss(BatchEmbeddings(starts=frames[0], goals=frames[4], instructions=instructions, intermediates=frames[:5]), k=4),
-            multiframe_batch_loss(be, k=8),
-            frame_alignment_loss(be),
+            batch_loss(ObjectiveSpec("p"), [starts, goals], instructions),
+            batch_loss(ObjectiveSpec("t"), [starts, goals], instructions),
+            batch_loss(ObjectiveSpec("t4"), frames[:5], instructions),
+            batch_loss(ObjectiveSpec("t8"), frames, instructions),
+            batch_loss(ObjectiveSpec("frame-align"), [goals], instructions),
         ):
             worst = max(worst, abs(float(value) - target))
     elapsed = time.time() - t0

@@ -1,24 +1,23 @@
 """Unit tests for segment rewards and the contrastive batch losses."""
 
+import re
+
 import numpy as np
 import pytest
 
-from segnce.autodiff import Tensor
+from segnce.autodiff import Tensor, cosine_matrix
 from segnce.errors import EmptyInputError, ShapeMismatchError
 from segnce.objectives import (
-    BatchEmbeddings,
+    VARIANTS,
     ObjectiveSpec,
     batch_loss,
     bt_probability,
-    frame_alignment_loss,
     infonce_pair_loss,
-    multiframe_batch_loss,
     multiframe_transition_reward,
-    potential_batch_loss,
     potential_step_reward,
+    segment_logits,
     segment_reward_potential,
     segment_reward_transition,
-    transition_batch_loss,
 )
 
 
@@ -114,33 +113,29 @@ class TestMultiframeReward:
 
 
 def equal_logit_embeddings(b, k, single=False):
-    """Identical displacements and instructions give an all-equal logit matrix."""
+    """Identical displacements and instructions give an all-equal logit matrix:
+    the (starts, goals) frame list, or the goals alone for frame alignment,
+    and the instruction rows."""
     starts = np.zeros((b, k))
     goals = np.tile(np.linspace(1, 2, k), (b, 1))
     instructions = np.tile(np.linspace(-1, 1, k), (b, 1))
-    if single:
-        return BatchEmbeddings(single=goals, instructions=instructions)
-    return BatchEmbeddings(starts=starts, goals=goals, instructions=instructions)
+    return ([goals] if single else [starts, goals]), instructions
 
 
 class TestBatchLosses:
     @pytest.mark.parametrize("b", [2, 4, 16])
     def test_equal_logits_closed_form(self, b):
         be = equal_logit_embeddings(b, 5)
-        assert float(potential_batch_loss(be)) == pytest.approx(2 * np.log(b), abs=1e-10)
-        assert float(transition_batch_loss(be)) == pytest.approx(2 * np.log(b), abs=1e-10)
+        assert float(batch_loss(ObjectiveSpec("p"), *be)) == pytest.approx(2 * np.log(b), abs=1e-10)
+        assert float(batch_loss(ObjectiveSpec("t"), *be)) == pytest.approx(2 * np.log(b), abs=1e-10)
         be1 = equal_logit_embeddings(b, 5, single=True)
-        assert float(frame_alignment_loss(be1)) == pytest.approx(2 * np.log(b), abs=1e-10)
+        assert float(batch_loss(ObjectiveSpec("frame-align"), *be1)) == pytest.approx(2 * np.log(b), abs=1e-10)
 
     def test_equal_logits_multiframe(self):
         b, k = 4, 5
         frames = [np.tile(np.linspace(1, 2, k) * (i + 1), (b, 1)) for i in range(5)]
-        be = BatchEmbeddings(
-            starts=frames[0], goals=frames[-1],
-            instructions=np.tile(np.linspace(-1, 1, k), (b, 1)),
-            intermediates=frames,
-        )
-        assert float(multiframe_batch_loss(be, k=4)) == pytest.approx(2 * np.log(b), abs=1e-10)
+        instructions = np.tile(np.linspace(-1, 1, k), (b, 1))
+        assert float(batch_loss(ObjectiveSpec("t4"), frames, instructions)) == pytest.approx(2 * np.log(b), abs=1e-10)
 
     def test_saturated_margin_loss_vanishes(self):
         # matched logits exceeding mismatched by 20 drive the loss below 1e-8
@@ -166,8 +161,7 @@ class TestBatchLosses:
         starts = Tensor(rng.normal(size=(2, 4)))
         goals = Tensor(rng.normal(size=(2, 4)))
         instructions = Tensor(rng.normal(size=(2, 4)))
-        be = BatchEmbeddings(starts=starts, goals=goals, instructions=instructions)
-        loss = transition_batch_loss(be)
+        loss = batch_loss(ObjectiveSpec("t"), [starts, goals], instructions)
         loss.backward()
 
         def logits(s, g, i):
@@ -195,9 +189,40 @@ def test_loss_gradients_validate(variant):
 
 
 def test_batch_loss_dispatch():
-    be = equal_logit_embeddings(4, 5)
-    assert float(batch_loss(ObjectiveSpec(variant="p", embed_dim=5), be)) == pytest.approx(
-        float(potential_batch_loss(be))
+    rng = np.random.default_rng(4)
+    frames, instructions = [rng.normal(size=(4, 5)) for _ in range(2)], rng.normal(size=(4, 5))
+    spec = ObjectiveSpec(variant="p", embed_dim=5, temperature=0.5)
+    assert float(batch_loss(spec, frames, instructions)) == pytest.approx(
+        float(infonce_pair_loss(segment_logits(spec, frames, instructions) * 2.0))
     )
     with pytest.raises(ShapeMismatchError):
         ObjectiveSpec(variant="q")
+
+
+def test_one_hop_transition_equals_displacement_cosine_bit_for_bit():
+    """``t`` is the one-hop case of the hop branch, and its values and the
+    gradients of both inputs are bit for bit those of
+    ``cosine_matrix(goals - starts, instructions)``."""
+    rng = np.random.default_rng(7)
+    values = [rng.normal(size=(6, 4)) for _ in range(3)]
+    weights = rng.normal(size=(6, 6))
+    results = []
+    for logits_of in (
+        lambda s, g, ins: segment_logits(ObjectiveSpec("t"), [s, g], ins),
+        lambda s, g, ins: cosine_matrix(g - s, ins),
+    ):
+        starts, goals, instructions = (Tensor(v.copy()) for v in values)
+        logits = logits_of(starts, goals, instructions)
+        (logits * weights).sum().backward()
+        results.append([logits.value, starts.grad, goals.grad, instructions.grad])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_wrong_frame_count_names_the_variant(variant):
+    spec = ObjectiveSpec(variant)
+    instructions = np.ones((3, 4))
+    for count in (spec.n_frames - 1, spec.n_frames + 1):
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"{variant!r}")):
+            segment_logits(spec, [np.ones((3, 4))] * count, instructions)

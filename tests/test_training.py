@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from segnce.autodiff import Tensor, cosine_similarity, init_mlp, mlp_apply
-from segnce.encoders import encode_instructions, encode_observations, init_params
+from segnce.encoders import EncoderConfig, encode_instructions, encode_observations, init_params
 from segnce.errors import CheckpointFormatError, EmptyInputError, ShapeMismatchError, TrainingDivergedError
 from segnce.objectives import (
     VARIANTS,
-    BatchEmbeddings,
     ObjectiveSpec,
     batch_loss,
     multiframe_transition_reward,
@@ -211,6 +210,13 @@ class TestTrainLoop:
         with pytest.raises(ShapeMismatchError, match="embed_dim"):
             ObjectiveSpec(embed_dim=0)
 
+    def test_config_refuses_encoder_wider_or_narrower_than_objective(self):
+        """An encoder config must embed into the objective's width, or the
+        checkpoint would record a width its encoders do not have."""
+        with pytest.raises(ShapeMismatchError, match="embed_dim"):
+            TrainConfig(encoder=EncoderConfig(embed_dim=4), objective=ObjectiveSpec(embed_dim=32))
+        assert TrainConfig(encoder=EncoderConfig(embed_dim=4), objective=ObjectiveSpec(embed_dim=4)).encoder
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_names_iteration(self, small_dataset):
         # an absurd learning rate reliably overflows within a few steps
@@ -248,10 +254,11 @@ class TestLeanGraph:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            batch = _embed_batch(enc, spec, small_dataset, sample_batch(lengths(small_dataset), 8, rng), rng)
-            interior = weakref.ref(batch.intermediates[4])
-            loss = batch_loss(spec, batch)
-            del batch
+            rows = sample_batch(lengths(small_dataset), 8, rng)
+            frames, instructions = _embed_batch(enc, spec, small_dataset, rows, rng)
+            interior = weakref.ref(frames[4])
+            loss = batch_loss(spec, frames, instructions)
+            del frames, instructions
             loss.backward()
             del loss
             assert interior() is None
@@ -267,8 +274,7 @@ class TestLeanGraph:
         psi = encode_instructions(enc.language, [t.instruction for t in small_dataset[:8]])
 
         def parameter_grads(embed):
-            batch = BatchEmbeddings(starts=embed(obs[0]), goals=embed(obs[1]), instructions=psi)
-            loss = batch_loss(spec, batch)
+            loss = batch_loss(spec, [embed(obs[0]), embed(obs[1])], psi)
             loss.backward()
             return loss, [leaf.grad.copy() for leaf in enc.leaves()]
 
@@ -305,8 +311,8 @@ def test_stacked_embedding_matches_reference_rewards(small_dataset, variant):
     rows = np.vstack([[0, 0, 2], sample_batch(lengths(small_dataset), 15, rng)])
     segments = [Segment(small_dataset[t], start, goal) for t, start, goal in rows.tolist()]
     frame_rng = copy.deepcopy(rng)
-    batch = _embed_batch(enc, spec, small_dataset, rows, rng)
-    logits = segment_logits(spec, batch).value
+    frames, instructions = _embed_batch(enc, spec, small_dataset, rows, rng)
+    logits = segment_logits(spec, frames, instructions).value
 
     def phi(segment, index):
         return encode_observations(enc.vision, segment.trajectory.observations[index]).value
@@ -329,7 +335,7 @@ def test_stacked_embedding_matches_reference_rewards(small_dataset, variant):
             assert abs(logits[j, i] - want) <= 1e-12
 
     if variant == "t8":
-        hops = [b.value[0] - a.value[0] for a, b in zip(batch.intermediates[:-1], batch.intermediates[1:])]
+        hops = [b.value[0] - a.value[0] for a, b in zip(frames[:-1], frames[1:])]
         index = hop_frames(segments[0], 8)
         repeated = [hop for hop, a, b in zip(hops, index[:-1], index[1:]) if a == b]
         assert len(repeated) == 6 and not np.any(repeated)
@@ -365,17 +371,15 @@ def test_embedded_frames_equal_per_segment_reference(monkeypatch, config, varian
         rng = np.random.default_rng(seed)
         rows = sample_batch(lengths(dataset), 16, rng)
         ref_rng = copy.deepcopy(rng)
-        batch = _embed_batch(enc, spec, dataset, rows, rng)
+        frames, _ = _embed_batch(enc, spec, dataset, rows, rng)
         segments = [Segment(dataset[t], start, goal) for t, start, goal in rows.tolist()]
         want = per_segment_frames(spec, segments, ref_rng)
         assert np.array_equal(seen.pop(), want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         embedded = encode_observations(enc.vision, want).value.reshape(-1, 16, enc.config.embed_dim)
-        assert len(batch.intermediates) == len(embedded)
-        for got, ref in zip(batch.intermediates, embedded):
+        assert len(frames) == len(embedded) == spec.n_frames
+        for got, ref in zip(frames, embedded):
             assert np.array_equal(got.value, ref)
-        assert batch.starts is batch.intermediates[0] and batch.goals is batch.intermediates[-1]
-        assert batch.single is batch.intermediates[0]
 
 
 class TestCheckpointIo:

@@ -177,14 +177,14 @@ class TestGeneration:
     def test_oracle_matched_mirror_unrelated(self, world):
         traj = world.generate(1, seed=13)[0]
         task = world.task_for_instruction(traj.instruction)
-        matched = world.progression_oracle(traj, traj.instruction)
+        matched = world.progression_for(task, traj.progression, traj.instruction)
         np.testing.assert_allclose(matched, traj.progression)
         assert matched[-1] == pytest.approx(1.0)
-        mirror = world.progression_oracle(traj, world.instruction_for_task(world.mirror_task(task)))
+        mirror = world.progression_for(task, traj.progression, world.instruction_for_task(world.mirror_task(task)))
         np.testing.assert_allclose(mirror, 1.0 - traj.progression)
         assert mirror[-1] == pytest.approx(0.0)
         unrelated_task = (task + 2) % world.config.n_tasks
-        unrelated = world.progression_oracle(traj, world.instruction_for_task(unrelated_task))
+        unrelated = world.progression_for(task, traj.progression, world.instruction_for_task(unrelated_task))
         np.testing.assert_allclose(unrelated, 0.5)
 
     def test_success_thresholds(self, world):
