@@ -1,9 +1,12 @@
 """Unit tests for the synthetic video-language world."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from segnce import world as world_module
 from segnce.encoders import Instruction
 from segnce.errors import DatasetFormatError, VocabularyError
 from segnce.world import (
@@ -200,22 +203,50 @@ class TestGeneration:
         for traj in world.generate(100, seed=14):
             assert traj.progression[-1] > SUCCESS_THRESHOLD
 
+    def test_default_world_completes_and_short_horizon_does_not(self, world):
+        # h_max >= 40 guarantees completion: every pace gains at least
+        # 0.5 * STEP_GAIN, so z >= 0.95 before the last-chance step, whose
+        # pace is then at most 1 and never clamped
+        assert all(t.progression[-1] == pytest.approx(1.0, abs=1e-12) for t in world.generate(1000, seed=16))
+        # at h_max = 10 the clamp caps the last-chance action short of z = 1
+        short = World(WorldConfig(h_min=10, h_max=10))
+        assert all(t.progression[-1] < 1.0 for t in short.generate(1000, seed=16))
+
+    def test_lock_step_groups_bound_transient_memory(self, world, monkeypatch):
+        # beyond the returned arrays, generation holds one group's step rows
+        # at a time; one lock step over all trajectories holds them all
+        count = 4 * world_module._LOCK_STEP_GROUP
+
+        def transient_bytes():
+            tracemalloc.start()
+            try:
+                out = world.generate(count, seed=17)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(a.nbytes for t in out for a in (t.observations, t.actions, t.progression))
+
+        assert transient_bytes() < 6e6
+        monkeypatch.setattr(world_module, "_LOCK_STEP_GROUP", 10**9)
+        assert transient_bytes() > 6e6
+
     @pytest.mark.parametrize(
         "config",
-        [WorldConfig(), WorldConfig(noise=0.0), WorldConfig(h_min=6, h_max=6),
+        [WorldConfig(), WorldConfig(noise=0.0), WorldConfig(h_min=6, h_max=6), WorldConfig(h_min=2, h_max=2),
          WorldConfig(task_pairs=2, d_obs=17, noise=0.3, h_min=2, h_max=60, d_act=3, seed=3)],
-        ids=["default", "noise-0", "fixed-length", "odd-shape"],
+        ids=["default", "noise-0", "fixed-length", "last-chance-first-step", "odd-shape"],
     )
     def test_matches_one_frame_at_a_time_bit_for_bit(self, config):
         world = World(config)
-        for seed in (0, 1, 9):
-            children = np.random.SeedSequence([seed, 0xDA7A]).spawn(12)
+        # the last count crosses two lock-step group boundaries
+        for seed, count in ((0, 12), (1, 12), (9, 2 * world_module._LOCK_STEP_GROUP + 3)):
+            children = np.random.SeedSequence([seed, 0xDA7A]).spawn(count)
             rngs = [np.random.default_rng(child) for child in children]
             want = [expert_one_frame_at_a_time(world, int(rng.integers(0, config.n_tasks)), rng) for rng in rngs]
             children = np.random.SeedSequence([seed, 0xDE40]).spawn(2 * config.n_tasks)
             want += [expert_one_frame_at_a_time(world, i % config.n_tasks, np.random.default_rng(child))
                      for i, child in enumerate(children)]
-            got = world.generate(12, seed=seed) + world.generate_demos(2, seed=seed)
+            got = world.generate(count, seed=seed) + world.generate_demos(2, seed=seed)
             assert len(got) == len(want)
             for traj, (observations, actions, zs) in zip(got, want):
                 assert traj.observations.tobytes() == observations.tobytes()
