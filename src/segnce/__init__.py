@@ -40,6 +40,7 @@ from .objectives import (
 )
 from .sampling import (
     Segment,
+    StackedDataset,
     Trajectory,
     empirical_goal_histogram,
     frame_positions,
@@ -59,6 +60,7 @@ __all__ = [
     "MlpParams",
     "ObjectiveSpec",
     "Segment",
+    "StackedDataset",
     "Tensor",
     "TrainConfig",
     "Trajectory",

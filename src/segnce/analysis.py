@@ -19,7 +19,7 @@ from .autodiff import COSINE_EPS, mlp_apply, no_grad, normalize_rows
 from .encoders import Instruction, encode_instructions
 from .errors import EmptyInputError, ShapeMismatchError
 from .objectives import segment_logits
-from .sampling import Segment, Trajectory, frame_positions
+from .sampling import Segment, Trajectory, frame_positions, stack_dataset
 from .training import Checkpoint, batch_embeddings
 
 
@@ -90,10 +90,11 @@ def segment_score(
     for frame alignment) go through training's gather in one frozen pass, the
     instructions through another, and ``segment_logits`` scores the grid."""
     spec = ckpt.objective
+    data = stack_dataset([s.trajectory for s in segments])  # trajectory j is segment j's
     starts, goals = np.array([(s.start, s.goal) for s in segments]).T
     positions = goals[:, None] if spec.variant == "frame-align" else frame_positions(starts, goals, spec.hops)
-    frames = batch_embeddings(lambda obs: embed_frames(ckpt, obs), [s.trajectory.observations for s in segments],
-                              positions)
+    frames = batch_embeddings(lambda obs: embed_frames(ckpt, obs), data.observations,
+                              data.offsets[:, None] + positions)
     return segment_logits(spec, frames, embed_instructions(ckpt, instructions)).value
 
 

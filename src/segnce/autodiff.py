@@ -344,9 +344,47 @@ def concat_rows(parts: Sequence) -> Tensor:
     return Tensor(np.concatenate([p.value for p in parts]), parts, backward)
 
 
+def _normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward values of :func:`normalize_rows`: the normalized rows, the
+    floored norms and the mask of rows above the floor."""
+    sq = (x * x).sum(axis=1, keepdims=True)
+    norms = np.sqrt(np.maximum(sq, COSINE_EPS * COSINE_EPS))
+    return x / norms, norms, sq > COSINE_EPS * COSINE_EPS
+
+
+def _add_normalize_grad(x: Tensor, g: np.ndarray, norms: np.ndarray, above: np.ndarray) -> None:
+    """Push ``g``, the gradient of ``x``'s normalized rows, into ``x`` as the
+    graph of :func:`normalize_rows` does: the divide term first, then the
+    ``x * x`` term once per operand."""
+    g_norms = -(g * x.value / (norms * norms)).sum(axis=1, keepdims=True)
+    square = g_norms / (2.0 * norms) * above * x.value
+    x._add_grad(g / norms)
+    x.grad += square
+    x.grad += square
+
+
 def cosine_matrix(a, b) -> Tensor:
-    """All-pairs cosine similarities between the rows of ``a`` and of ``b``."""
-    return normalize_rows(a) @ normalize_rows(b).T
+    """All-pairs cosine similarities between the rows of ``a`` and of ``b``,
+    as one node.
+
+    Values and gradients are bit for bit those of the composite graph
+    ``normalize_rows(a) @ normalize_rows(b).T``: the backward pass runs its
+    numpy operations and accumulates into each input in its order.
+    """
+    a, b = Tensor._lift(a), Tensor._lift(b)
+    an, a_norms, a_above = _normalized(a.value)
+    bn, b_norms, b_above = _normalized(b.value)
+
+    def backward(out):
+        g = out.grad
+        if a.requires_grad:
+            _add_normalize_grad(a, g @ bn, a_norms, a_above)
+        if b.requires_grad:
+            gb = np.empty_like(bn)
+            gb[...] = (an.T @ g).T  # the transpose node's copy, laid out like bn
+            _add_normalize_grad(b, gb, b_norms, b_above)
+
+    return Tensor(an @ bn.T, (a, b), backward)
 
 
 def logsumexp(xs, axis=None) -> Tensor:

@@ -85,8 +85,9 @@ def encode_instructions(params: InstructionEncoderParams, instructions) -> Tenso
     verbs = np.array([i.verb for i in instructions], dtype=np.int64)
     objs = np.array([i.obj for i in instructions], dtype=np.int64)
     vocab = params.table.value.shape[0]
-    for tok in np.concatenate([verbs, objs]):
-        if tok < 0 or tok >= vocab:
-            raise VocabularyError(f"token id {int(tok)} outside vocabulary of size {vocab}")
+    tokens = np.concatenate([verbs, objs])
+    outside = (tokens < 0) | (tokens >= vocab)
+    if outside.any():
+        raise VocabularyError(f"token id {int(tokens[outside.argmax()])} outside vocabulary of size {vocab}")
     mean = (params.table.take_rows(verbs) + params.table.take_rows(objs)) * 0.5
     return mlp_apply(params.projection, mean)

@@ -70,6 +70,7 @@ def featurize_demos(ckpt: Checkpoint, demos: Sequence[Trajectory]) -> tuple[np.n
     return np.concatenate(inputs), np.concatenate(targets)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divergence surfaces as TrainingDivergedError
 def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) -> PolicyParams:
     """Minimize mean squared action error; the checkpoint's encoders stay frozen.
 

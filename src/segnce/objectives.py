@@ -35,7 +35,6 @@ from .autodiff import (
     concat_rows,
     cosine_matrix,
     cosine_similarity,
-    logsumexp,
 )
 from .errors import EmptyInputError, ShapeMismatchError, check_number
 
@@ -124,16 +123,36 @@ def infonce_pair_loss(logits) -> Tensor:
     matched entry is contrasted against the i-th column (all segments) and
     the i-th row (all instructions); with all logits equal the value is
     exactly 2*ln(B).
+
+    One node, whose value and gradient are bit for bit those of the
+    composite graph ``(logsumexp(logits, axis=0).sum() + logsumexp(logits,
+    axis=1).sum() - 2 * diagonal sum) / B``: the backward pass runs its
+    numpy operations and accumulates the column softmax term, then the row
+    softmax term, then the diagonal.
     """
     logits = Tensor._lift(logits)
-    if logits.value.ndim != 2 or logits.value.shape[0] != logits.value.shape[1]:
-        raise ShapeMismatchError(f"logits must be square, got {logits.value.shape}")
-    b = logits.value.shape[0]
+    x = logits.value
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ShapeMismatchError(f"logits must be square, got {x.shape}")
+    b = x.shape[0]
     if b < 2:
         raise EmptyInputError(f"contrastive loss needs a batch of >= 2, got {b}")
-    col = logsumexp(logits, axis=0)
-    row = logsumexp(logits, axis=1)
-    return (col.sum() + row.sum() - 2.0 * logits.diagonal().sum()) * (1.0 / b)
+    col_max, row_max = x.max(axis=0, keepdims=True), x.max(axis=1, keepdims=True)
+    col_exp, row_exp = np.exp(x - col_max), np.exp(x - row_max)
+    col_sum, row_sum = col_exp.sum(axis=0), row_exp.sum(axis=1)
+    col = np.log(col_sum) + np.squeeze(col_max, axis=0)
+    row = np.log(row_sum) + np.squeeze(row_max, axis=1)
+    scale = 1.0 / b
+    diagonal_sum = np.diagonal(x).copy().sum()  # summed from a copy, as the composite's diagonal node is
+
+    def backward(out):
+        g = out.grad * scale
+        logits._add_grad(g / col_sum * col_exp)
+        logits.grad += (g / row_sum)[:, None] * row_exp
+        diagonal = np.arange(b)
+        logits.grad[diagonal, diagonal] += -g * 2.0
+
+    return Tensor((col.sum() + row.sum() - diagonal_sum * 2.0) * scale, (logits,), backward)
 
 
 def segment_logits(spec: ObjectiveSpec, frames: Sequence, instructions):

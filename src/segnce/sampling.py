@@ -1,4 +1,5 @@
-"""Trajectories, segments, the batch sampler and the frame-position rule.
+"""Trajectories, stacked datasets, segments, the batch sampler and the
+frame-position rule.
 
 A segment is a (start, goal) index pair into a trajectory, and a training
 batch is a (B, 3) int64 array of (trajectory, start, goal) rows. The sampler
@@ -7,10 +8,14 @@ uniformly over the frames after it, which makes later frames increasingly
 likely goals. ``goal_probability`` gives that goal distribution in closed
 form for the raw process where the start may also land on the final frame
 (in which case no goal exists and the draw is a no-op).
+
+Training reads a :class:`StackedDataset`: every frame in one observation
+matrix, so a batch's frames are one fancy index into it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,6 +59,60 @@ class Trajectory:
     @property
     def h(self) -> int:
         return self.observations.shape[0]
+
+
+@dataclass(repr=False, eq=False)
+class StackedDataset(Sequence):
+    """Trajectories with all their frames in one matrix.
+
+    Trajectory i's frames are rows ``offsets[i]`` to ``offsets[i] +
+    lengths[i]`` of ``observations`` and its label is
+    ``instructions[instruction_ids[i]]``. Items are the ``Trajectory``
+    objects themselves; a loaded dataset's are views of the matrix.
+    """
+
+    trajectories: list[Trajectory]
+    observations: np.ndarray  # (total frames, d_obs)
+    lengths: np.ndarray  # (n,) int64
+    instruction_ids: np.ndarray  # (n,) int64 into instructions
+    instructions: list[Instruction]
+
+    def __post_init__(self):
+        self.offsets = np.cumsum(self.lengths) - self.lengths
+
+    def __len__(self) -> int:
+        return len(self.trajectories)
+
+    def __getitem__(self, index):
+        return self.trajectories[index]
+
+    def __iter__(self):
+        return iter(self.trajectories)
+
+
+def stack_dataset(trajectories: Sequence[Trajectory]) -> StackedDataset:
+    """``trajectories`` as a :class:`StackedDataset`: returned as is when it
+    already is one, else with its observations copied into one matrix.
+    Raises :class:`ShapeMismatchError` naming the first trajectory whose
+    observation width differs from trajectory 0's."""
+    if isinstance(trajectories, StackedDataset):
+        return trajectories
+    if len(trajectories) == 0:
+        raise EmptyInputError("cannot stack an empty dataset")
+    width = trajectories[0].observations.shape[1]
+    for i, traj in enumerate(trajectories):
+        if traj.observations.shape[1] != width:
+            raise ShapeMismatchError(
+                f"trajectory {i} has observation width {traj.observations.shape[1]}, trajectory 0 has {width}")
+    ids: dict[Instruction, int] = {}
+    return StackedDataset(
+        trajectories=list(trajectories),
+        observations=np.concatenate([traj.observations for traj in trajectories]),
+        lengths=np.array([traj.h for traj in trajectories], dtype=np.int64),
+        instruction_ids=np.array([ids.setdefault(traj.instruction, len(ids)) for traj in trajectories],
+                                 dtype=np.int64),
+        instructions=list(ids),
+    )
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .errors import (
     check_number,
 )
 from .objectives import ObjectiveSpec, batch_loss
-from .sampling import Trajectory, frame_positions, sample_batch
+from .sampling import Trajectory, frame_positions, sample_batch, stack_dataset
 
 CHECKPOINT_MAGIC = b"SEGNCEAR"
 CHECKPOINT_VERSION = 1
@@ -87,75 +87,95 @@ class Checkpoint:
     history: np.ndarray  # (n, 3): iteration, loss, grad norm
 
 
-def _scratch_views(leaves: Sequence[Tensor], count: int) -> list[tuple[np.ndarray, ...]]:
-    """``count`` scratch buffers sized to the largest leaf, allocated once, and
-    per leaf a tuple of views of them shaped like that leaf."""
-    size = max((leaf.value.size for leaf in leaves), default=0)
-    buffers = [np.empty(size) for _ in range(count)]
-    return [tuple(buf[: leaf.value.size].reshape(leaf.value.shape) for buf in buffers) for leaf in leaves]
+class _Arena:
+    """One flat float64 arena over all ``leaves``: one row per quantity
+    (values, gradients, then the optimizer's own state), each leaf owning the
+    same slice of every row. Every leaf's ``value`` and ``grad`` become views
+    of its slices of the first two rows, so an update is one set of ufunc
+    calls over whole rows; elementwise, each entry gets the arithmetic of a
+    per-leaf update, bit for bit."""
+
+    def __init__(self, leaves: Sequence[Tensor], rows: int):
+        self.leaves = list(leaves)
+        bounds = np.cumsum([0, *(leaf.value.size for leaf in self.leaves)])
+        self.rows = tuple(np.zeros((rows, int(bounds[-1]))))
+        self.views = [[row[lo:hi].reshape(leaf.value.shape) for row in self.rows]
+                      for leaf, lo, hi in zip(self.leaves, bounds[:-1], bounds[1:])]
+        self.sync()
+
+    def sync(self) -> None:
+        """Copy a value or gradient the caller has rebound into the arena and
+        bind the leaf back to its view; a leaf without a gradient gets zeros."""
+        for leaf, (value, grad, *_) in zip(self.leaves, self.views):
+            if leaf.value is not value:
+                value[...] = leaf.value
+                leaf.value = value
+            if leaf.grad is not grad:
+                grad[...] = 0.0 if leaf.grad is None else leaf.grad
+                leaf.grad = grad
 
 
 class Sgd:
-    """Plain gradient descent with L2 coupled into the gradient; the update is
-    formed in one scratch buffer sized to the largest leaf."""
+    """Plain gradient descent with L2 coupled into the gradient, over one
+    arena of values, gradients and a scratch row."""
 
     def __init__(self, leaves: Sequence[Tensor], lr: float, weight_decay: float = 0.0):
-        self.leaves = list(leaves)
+        self._arena = _Arena(leaves, 3)
+        self.leaves = self._arena.leaves
         self.lr = lr
         self.weight_decay = weight_decay
-        self._scratch = _scratch_views(self.leaves, 1)
 
     def step(self):
-        for leaf, (s,) in zip(self.leaves, self._scratch):
-            g = leaf.grad
-            if self.weight_decay:
-                g = np.add(g, np.multiply(self.weight_decay, leaf.value, out=s), out=s)
-            leaf.value -= np.multiply(self.lr, g, out=s)
+        self._arena.sync()
+        w, g, s = self._arena.rows
+        if self.weight_decay:
+            g = np.add(g, np.multiply(self.weight_decay, w, out=s), out=s)
+        w -= np.multiply(self.lr, g, out=s)
 
 
 class Adam:
     """Adam with L2 coupled into the gradient (not decoupled decay).
 
-    The moments and parameters are updated in place. Every temporary lives in
-    one of two scratch buffers sized to the largest leaf and allocated here,
-    so a step allocates no parameter-sized array. The arithmetic runs in the
-    order of the textbook expressions, so results are bit for bit those of
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``w -= lr * (m/c1) / (sqrt(v/c2) + eps)``.
+    Values, gradients, both moments and two scratch rows live in one arena,
+    so a step is one set of in-place ufunc calls over it and allocates no
+    parameter-sized array; ``m`` and ``v`` hold each leaf's moment views.
+    The arithmetic runs in the order of the textbook expressions, so results
+    are bit for bit those of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``
+    and ``w -= lr * (m/c1) / (sqrt(v/c2) + eps)``.
     """
 
     def __init__(self, leaves: Sequence[Tensor], lr: float, beta1=0.9, beta2=0.999,
                  eps=1e-8, weight_decay: float = 0.0):
-        self.leaves = list(leaves)
+        self._arena = _Arena(leaves, 6)
+        self.leaves = self._arena.leaves
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(l.value) for l in self.leaves]
-        self.v = [np.zeros_like(l.value) for l in self.leaves]
-        self._scratch = _scratch_views(self.leaves, 2)
+        self.m = [views[2] for views in self._arena.views]
+        self.v = [views[3] for views in self._arena.views]
 
     def step(self):
+        self._arena.sync()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for leaf, m, v, (s, u) in zip(self.leaves, self.m, self.v, self._scratch):
-            g = leaf.grad
-            if self.weight_decay:
-                g = np.add(g, np.multiply(self.weight_decay, leaf.value, out=s), out=s)
-            m *= b1
-            m += np.multiply(1 - b1, g, out=u)
-            np.multiply(1 - b2, g, out=u)
-            u *= g
-            v *= b2
-            v += u
-            np.divide(m, c1, out=s)  # g is spent: s may now be overwritten
-            s *= self.lr
-            np.divide(v, c2, out=u)
-            np.sqrt(u, out=u)
-            u += self.eps
-            s /= u
-            leaf.value -= s
+        w, g, m, v, s, u = self._arena.rows
+        if self.weight_decay:
+            g = np.add(g, np.multiply(self.weight_decay, w, out=s), out=s)
+        m *= b1
+        m += np.multiply(1 - b1, g, out=u)
+        np.multiply(1 - b2, g, out=u)
+        u *= g
+        v *= b2
+        v += u
+        np.divide(m, c1, out=s)  # g is spent: s may now be overwritten
+        s *= self.lr
+        np.divide(v, c2, out=u)
+        np.sqrt(u, out=u)
+        u += self.eps
+        s /= u
+        w -= s
 
 
 def make_optimizer(config: TrainConfig, leaves: Sequence[Tensor]):
@@ -178,33 +198,37 @@ def _grad_norm(leaves: Sequence[Tensor]) -> float:
     return float(np.sqrt(total))
 
 
-def batch_embeddings(embed, observations, positions: np.ndarray) -> list[Tensor]:
-    """Frame ``positions[j]`` of ``observations[j]`` for every row j, stacked
-    position-major, embedded by one ``embed`` call and split into the
-    position-major list of (rows, K) matrices that ``segment_logits`` reads."""
-    n, width = positions.shape
-    frames = np.stack([obs[p] for obs, p in zip(observations, positions)], axis=1)
-    embedded = Tensor._lift(embed(frames.reshape(n * width, -1)))
+def batch_embeddings(embed, observations: np.ndarray, rows: np.ndarray) -> list[Tensor]:
+    """Rows ``rows[j]`` of the stacked ``observations`` matrix for every
+    segment j, gathered position-major in one fancy index, embedded by one
+    ``embed`` call and split into the position-major list of (segments, K)
+    matrices that ``segment_logits`` reads."""
+    n, width = rows.shape
+    embedded = Tensor._lift(embed(observations[rows.T.ravel()]))
     return [embedded.slice_rows(i * n, (i + 1) * n) for i in range(width)]
 
 
-def _embed_batch(encoders: Encoders, spec: ObjectiveSpec, dataset, rows: np.ndarray,
+def _embed_batch(encoders: Encoders, spec: ObjectiveSpec, dataset: Sequence[Trajectory], rows: np.ndarray,
                  rng) -> tuple[list[Tensor], Tensor]:
     """The frame matrices and per-row instruction embeddings of a batch of
-    (trajectory, start, goal) rows: the frames in one vision pass, each
-    distinct instruction encoded once. Frame alignment reads one frame per
-    row, drawn uniformly over its trajectory."""
-    trajectories = [dataset[t] for t in rows[:, 0].tolist()]
-    distinct = list(dict.fromkeys(t.instruction for t in trajectories))
-    index = {instruction: i for i, instruction in enumerate(distinct)}
-    instructions = encode_instructions(encoders.language, distinct).take_rows(
-        [index[t.instruction] for t in trajectories])
-    observations = [t.observations for t in trajectories]
+    (trajectory, start, goal) rows: the frames in one gather and one vision
+    pass, each distinct instruction encoded once, in order of first
+    appearance. Frame alignment reads one frame per row, drawn uniformly
+    over its trajectory."""
+    data = stack_dataset(dataset)
+    trajectories = rows[:, 0]
+    ids = data.instruction_ids[trajectories]
+    distinct = ids[np.sort(np.unique(ids, return_index=True)[1])]
+    slot = np.empty(len(data.instructions), dtype=np.int64)
+    slot[distinct] = np.arange(len(distinct))
+    instructions = encode_instructions(encoders.language, [data.instructions[i] for i in distinct.tolist()]
+                                       ).take_rows(slot[ids])
     if spec.variant == "frame-align":
-        positions = rng.integers(0, [len(obs) for obs in observations])[:, None]
+        positions = rng.integers(0, data.lengths[trajectories])[:, None]
     else:
         positions = frame_positions(rows[:, 1], rows[:, 2], spec.hops)
-    frames = batch_embeddings(lambda obs: encode_observations(encoders.vision, obs), observations, positions)
+    frames = batch_embeddings(lambda obs: encode_observations(encoders.vision, obs), data.observations,
+                              data.offsets[trajectories][:, None] + positions)
     return frames, instructions
 
 
@@ -216,6 +240,7 @@ def default_encoder_config(config: TrainConfig, dataset: Sequence[Trajectory],
     return EncoderConfig(d_obs=d_obs, embed_dim=config.objective.embed_dim, vocab_size=vocab_size)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divergence surfaces as TrainingDivergedError
 def train(config: TrainConfig, dataset: Sequence[Trajectory],
           vocab_size: int | None = None, checkpoint_path=None) -> Checkpoint:
     """Run the full loop and return the final checkpoint.
@@ -227,12 +252,12 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
     """
     if len(dataset) == 0:
         raise EmptyInputError("cannot train on an empty dataset")
-    enc_config = config.encoder or default_encoder_config(config, dataset, vocab_size)
+    data = stack_dataset(dataset)
+    enc_config = config.encoder or default_encoder_config(config, data, vocab_size)
     encoders = init_params(enc_config, config.seed)
     leaves = encoders.leaves()
     optimizer = make_optimizer(config, leaves)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7E41]))
-    lengths = np.array([traj.h for traj in dataset])
 
     history = np.zeros((config.iterations, 3))
 
@@ -241,10 +266,10 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
                           iteration=iteration, history=history[:iteration])
 
     for it in range(config.iterations):
-        rows = sample_batch(lengths, config.batch_size, rng)
+        rows = sample_batch(data.lengths, config.batch_size, rng)
         where = f"at iteration {it} (seed {config.seed}, learning_rate {config.learning_rate!r})"
         try:
-            loss = batch_loss(config.objective, *_embed_batch(encoders, config.objective, dataset, rows, rng))
+            loss = batch_loss(config.objective, *_embed_batch(encoders, config.objective, data, rows, rng))
             loss_value = float(loss.value)
         except NumericalError as exc:
             raise TrainingDivergedError(it, f"non-finite values {where}: {exc}") from exc

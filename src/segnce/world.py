@@ -29,7 +29,7 @@ import numpy as np
 
 from .encoders import Instruction
 from .errors import DatasetFormatError, EmptyInputError, VocabularyError, check_number
-from .sampling import Trajectory
+from .sampling import StackedDataset, Trajectory
 from .training import read_array_archive, write_array_archive
 
 # Step gain: one fully aligned unit action advances z by this much.
@@ -396,7 +396,10 @@ def save_dataset(path, config: WorldConfig, trajectories: list[Trajectory]) -> N
     )
 
 
-def load_dataset(path) -> tuple[WorldConfig, list[Trajectory]]:
+def load_dataset(path) -> tuple[WorldConfig, StackedDataset]:
+    """The config and trajectories that :func:`save_dataset` wrote, as a
+    :class:`StackedDataset` over the archive's own observation matrix; each
+    trajectory's arrays are views of the archive's, so nothing is copied."""
     names = ("lengths", "instructions", "observations", "actions", "progression")
     try:
         meta, arrays = read_array_archive(path, "dataset")
@@ -415,19 +418,21 @@ def load_dataset(path) -> tuple[WorldConfig, list[Trajectory]]:
         for name, shape in zip(names[1:], shapes):
             if arrays[name].shape != shape:
                 raise ValueError(f"{name} has shape {arrays[name].shape}, lengths and config give {shape}")
-        instructions = [Instruction(int(verb), int(obj)) for verb, obj in ids]
-        if not (np.array_equal(h, lengths) and np.array_equal(ids, [[i.verb, i.obj] for i in instructions])):
+        distinct, instruction_ids = np.unique(ids, axis=0, return_inverse=True)
+        instructions = [Instruction(int(verb), int(obj)) for verb, obj in distinct]
+        if not (np.array_equal(h, lengths) and np.array_equal(distinct, [[i.verb, i.obj] for i in instructions])):
             raise ValueError("lengths and instruction ids must be integers")
         world = World(config)
-        for instruction in set(instructions):
+        for instruction in instructions:
             world.task_for_instruction(instruction)
         pieces = zip(
             np.split(arrays["observations"], np.cumsum(h)[:-1]),
-            instructions,
+            [instructions[i] for i in instruction_ids.tolist()],
             np.split(arrays["actions"], np.cumsum(h - 1)[:-1]),
             np.split(arrays["progression"], np.cumsum(h)[:-1]),
         )
-        trajectories = [Trajectory(*piece) for piece in pieces]
+        dataset = StackedDataset([Trajectory(*piece) for piece in pieces], arrays["observations"], h,
+                                 instruction_ids, instructions)
     except (KeyError, TypeError, ValueError) as exc:  # CheckpointFormatError is a ValueError
         raise DatasetFormatError(f"bad dataset {path}: {exc}") from exc
-    return config, trajectories
+    return config, dataset

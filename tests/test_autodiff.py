@@ -16,6 +16,7 @@ from segnce.autodiff import (
     logsumexp,
     mlp_apply,
     no_grad,
+    normalize_rows,
 )
 from segnce.errors import EmptyInputError, GraphError, NumericalError, ShapeMismatchError
 
@@ -192,6 +193,60 @@ class TestAffine:
             return (_affine(x, w, t.slice_rows(n + 12, n + 15)).exp() * c).sum()
 
         assert finite_difference_check(f, theta, step=1e-6) <= 1e-6
+
+
+def reference_cosine_matrix(a, b):
+    """The composite graph that the fused cosine node reproduces."""
+    return normalize_rows(a) @ normalize_rows(b).T
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestFusedCosineMatrix:
+    """``cosine_matrix`` is one node whose value and input gradients are, bit
+    for bit, those of the ``normalize_rows`` composite."""
+
+    @staticmethod
+    def _values_and_grads(cos, frames, instructions, weights):
+        """``sum(weights * logits)`` over the logits of every frame matrix
+        against one shared instruction matrix (two frame matrices: the ``p``
+        form), with the value and the gradient of every input."""
+        xs = [Tensor(f.copy()) for f in frames]
+        ins = Tensor(instructions.copy())
+        logits = cos(xs[-1], ins)
+        if len(xs) == 2:
+            logits = logits - cos(xs[0], ins)
+        (logits * weights).sum().backward()
+        return [logits.value, ins.grad, *(x.grad for x in xs)]
+
+    @pytest.mark.parametrize("case", ["random", "zero-norm-rows", "shared-instructions"])
+    def test_matches_composite_bit_for_bit(self, case):
+        rng = np.random.default_rng(21)
+        frames = [rng.normal(size=(6, 5)) for _ in range(2 if case == "shared-instructions" else 1)]
+        instructions = rng.normal(size=(4, 5))
+        if case == "zero-norm-rows":  # both inputs take the COSINE_EPS floor branch
+            frames[0][2] = 0.0
+            instructions[1] = 0.0
+        weights = rng.normal(size=(6, 4))
+        fused = self._values_and_grads(cosine_matrix, frames, instructions, weights)
+        reference = self._values_and_grads(reference_cosine_matrix, frames, instructions, weights)
+        for got, want in zip(fused, reference):
+            assert_bits_equal(got, want)
+
+    def test_is_one_node(self):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.eye(3))
+        assert cosine_matrix(a, b)._parents == (a, b)
+
+    def test_no_grad_records_nothing_and_matches_composite(self):
+        rng = np.random.default_rng(22)
+        a, b = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(4, 3)))
+        with no_grad():
+            frozen = cosine_matrix(a, b)
+        assert not frozen.requires_grad and frozen._parents == () and frozen._backward is None
+        assert_bits_equal(frozen.value, reference_cosine_matrix(a, b).value)
 
 
 class TestMlp:

@@ -77,6 +77,16 @@ def test_unknown_token_raises():
         encode_instructions(enc.language, [Instruction(0, 4)])
 
 
+def test_unknown_token_error_names_the_first_outside_id():
+    """Verbs are checked before objects, each in batch order."""
+    enc = init_params(EncoderConfig(vocab_size=4), seed=0)
+    instructions = [Instruction(0, 1), Instruction(9, -2), Instruction(-1, 7)]
+    with pytest.raises(VocabularyError, match=r"^token id 9 outside vocabulary of size 4$"):
+        encode_instructions(enc.language, instructions)
+    with pytest.raises(VocabularyError, match=r"^token id -2 outside vocabulary of size 4$"):
+        encode_instructions(enc.language, [Instruction(0, 1), Instruction(3, -2), Instruction(1, 7)])
+
+
 def test_batched_instruction_encoding_matches_single():
     enc = init_params(EncoderConfig(vocab_size=12), seed=1)
     instrs = [Instruction(0, 8), Instruction(3, 9), Instruction(7, 11)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from segnce.analysis import embed_frames, embed_instructions
+from segnce.autodiff import init_mlp, mlp_apply
 from segnce.encoders import Instruction
 from segnce.errors import CheckpointFormatError, EmptyInputError, TrainingDivergedError
 from segnce.imitation import (
@@ -23,6 +24,7 @@ from segnce.training import TrainConfig, save_checkpoint, train, write_array_arc
 from segnce.world import SCENE_DRIFT, WALK_SIGMA, World, WorldConfig
 
 from conftest import render_one
+from test_training import ReferenceAdam
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +86,38 @@ def test_loss_mostly_nonincreasing(tiny_ckpt, demos):
     assert frac_nonincreasing >= 0.95
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_bc_matches_per_leaf_reference_adam_bit_for_bit(tiny_ckpt, demos):
+    """The loss history and final weights of ``train_bc`` equal, bit for bit,
+    those of the same loop updating each leaf with the textbook Adam."""
+    config = BcConfig(hidden=(64, 32), steps=60, seed=4)
+    policy = train_bc(tiny_ckpt, demos, config)
+
+    inputs, targets = featurize_demos(tiny_ckpt, demos)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBC]))
+    mlp = init_mlp([inputs.shape[1], *config.hidden, targets.shape[1]], rng)
+    leaves = mlp.leaves()
+    reference = ReferenceAdam([leaf.value for leaf in leaves], config.learning_rate)
+    history = []
+    for _ in range(config.steps):
+        idx = rng.integers(0, len(inputs), size=min(config.batch_size, len(inputs)))
+        err = mlp_apply(mlp, inputs[idx]) - targets[idx]
+        loss = (err * err).sum() * (1.0 / err.value.size)
+        history.append(float(loss.value))
+        loss.backward()
+        reference.step([leaf.grad for leaf in leaves])
+        for leaf, value in zip(leaves, reference.values):
+            leaf.value = value
+    assert policy.loss_history.tobytes() == np.array(history).tobytes()
+    for got, want in zip(policy.mlp.leaves(), leaves):
+        assert got.value.tobytes() == want.value.tobytes()
+
+
 def test_divergence_names_step_seed_and_learning_rate(tiny_ckpt, demos):
     with pytest.raises(TrainingDivergedError, match=r"at step 1 \(seed 5, learning_rate 1e\+300\)") as info:
         train_bc(tiny_ckpt, demos, BcConfig(learning_rate=1e300, steps=30, seed=5))
     assert info.value.iteration == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gradient_overflow_raises_instead_of_stalling(tiny_ckpt, demos):
     # at 1e30 the loss stays finite while Adam's second moment would
     # overflow to inf and freeze the weights it belongs to

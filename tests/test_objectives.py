@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from segnce.autodiff import Tensor, cosine_matrix
+from segnce.autodiff import Tensor, cosine_matrix, logsumexp, no_grad
 from segnce.errors import EmptyInputError, ShapeMismatchError
 from segnce.objectives import (
     VARIANTS,
@@ -179,6 +179,50 @@ class TestBatchLosses:
         )
         assert after[0, 0] > before[0, 0] and after[1, 1] > before[1, 1]
         assert after[0, 1] < before[0, 1] and after[1, 0] < before[1, 0]
+
+
+def reference_infonce(logits):
+    """The composite graph that the fused InfoNCE node reproduces."""
+    b = logits.value.shape[0]
+    return (logsumexp(logits, axis=0).sum() + logsumexp(logits, axis=1).sum()
+            - 2.0 * logits.diagonal().sum()) * (1.0 / b)
+
+
+class TestFusedInfonce:
+    """``infonce_pair_loss`` is one node whose value and gradient are, bit for
+    bit, those of the ``logsumexp`` composite."""
+
+    @staticmethod
+    def _value_and_grad(loss, logits):
+        x = Tensor(logits.copy())
+        out = loss(x)
+        out.backward()
+        return out.value, x.grad
+
+    @pytest.mark.parametrize("b", [2, 5, 64])
+    @pytest.mark.parametrize("case", ["random", "equal"])
+    def test_matches_composite_bit_for_bit(self, b, case):
+        rng = np.random.default_rng(b)
+        logits = rng.normal(size=(b, b)) * 3.0 if case == "random" else np.full((b, b), 0.37)
+        fused = self._value_and_grad(infonce_pair_loss, logits)
+        reference = self._value_and_grad(reference_infonce, logits)
+        for got, want in zip(fused, reference):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("b", [2, 4, 64])
+    def test_equal_logits_give_two_log_b(self, b):
+        # at zero logits and a power-of-two B every sum and scaling is exact
+        value, grad = self._value_and_grad(infonce_pair_loss, np.zeros((b, b)))
+        assert float(value) == 2 * np.log(b)
+        # each softmax is uniform: 2/B^2 off the diagonal, 2/B^2 - 2/B on it
+        np.testing.assert_allclose(grad, 2.0 / b**2 - 2.0 / b * np.eye(b), atol=1e-15)
+
+    def test_no_grad_records_nothing_and_matches_composite(self):
+        logits = Tensor(np.random.default_rng(7).normal(size=(6, 6)))
+        with no_grad():
+            frozen = infonce_pair_loss(logits)
+        assert not frozen.requires_grad and frozen._parents == () and frozen._backward is None
+        assert frozen.value.tobytes() == reference_infonce(logits).value.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["p", "t", "t4", "t8", "frame-align"])

@@ -21,7 +21,7 @@ from segnce.objectives import (
     segment_reward_transition,
 )
 from segnce import training
-from segnce.sampling import Segment, frame_positions, sample_batch
+from segnce.sampling import Segment, StackedDataset, frame_positions, sample_batch, stack_dataset
 from segnce.training import (
     Adam,
     Sgd,
@@ -34,7 +34,7 @@ from segnce.training import (
     train,
     write_array_archive,
 )
-from segnce.world import World, WorldConfig
+from segnce.world import World, WorldConfig, load_dataset, save_dataset
 
 from conftest import per_segment_frame_indices
 
@@ -217,7 +217,6 @@ class TestTrainLoop:
             TrainConfig(encoder=EncoderConfig(embed_dim=4), objective=ObjectiveSpec(embed_dim=32))
         assert TrainConfig(encoder=EncoderConfig(embed_dim=4), objective=ObjectiveSpec(embed_dim=4)).encoder
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_names_iteration(self, small_dataset):
         # an absurd learning rate reliably overflows within a few steps
         with pytest.raises(TrainingDivergedError) as excinfo:
@@ -235,6 +234,52 @@ class TestTrainLoop:
     def test_other_variants_train(self, small_dataset, variant):
         ckpt = train(small_config(objective=ObjectiveSpec(variant=variant), iterations=10), small_dataset)
         assert np.all(np.isfinite(ckpt.history[:, 1]))
+
+
+class TestStackedDataset:
+    def test_mixed_observation_widths_refused_before_iteration_0(self, small_dataset, monkeypatch):
+        """Trajectories of two observation widths are refused when ``train``
+        stacks them, naming the first that differs, before any batch is drawn."""
+        narrow = World(WorldConfig(d_obs=31)).generate(2, seed=1)
+        dataset = [*small_dataset[:5], narrow[0], *small_dataset[5:], narrow[1]]
+
+        def no_batches(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(training, "sample_batch", no_batches)
+        with pytest.raises(ShapeMismatchError, match="trajectory 5 has observation width 31, trajectory 0 has 32"):
+            train(small_config(iterations=1), dataset)
+
+    def test_loaded_dataset_trains_as_the_generated_list(self, tmp_path, small_dataset):
+        """A loaded dataset is used as stacked, with no second copy of its
+        frames, and trains bit for bit as the list it was saved from."""
+        save_dataset(tmp_path / "data.bin", WorldConfig(), small_dataset)
+        _, loaded = load_dataset(tmp_path / "data.bin")
+        assert isinstance(loaded, StackedDataset) and stack_dataset(loaded) is loaded
+        assert all(np.shares_memory(traj.observations, loaded.observations) for traj in loaded)
+        for variant in ("t", "frame-align"):
+            config = small_config(objective=ObjectiveSpec(variant=variant), iterations=10)
+            a, b = train(config, small_dataset), train(config, loaded)
+            assert a.history.tobytes() == b.history.tobytes()
+            for x, y in zip(a.encoders.leaves(), b.encoders.leaves()):
+                assert x.value.tobytes() == y.value.tobytes()
+
+    def test_batch_encodes_distinct_instructions_in_first_appearance_order(self, small_dataset, monkeypatch):
+        spec, enc = _encoders(small_dataset, "t")
+        seen = []
+
+        def recording(params, instructions):
+            seen.append(list(instructions))
+            return encode_instructions(params, instructions)
+
+        monkeypatch.setattr(training, "encode_instructions", recording)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            rows = sample_batch(lengths(small_dataset), 16, rng)
+            _, instructions = _embed_batch(enc, spec, small_dataset, rows, rng)
+            labels = [small_dataset[t].instruction for t in rows[:, 0].tolist()]
+            assert seen.pop() == list(dict.fromkeys(labels))
+            assert np.array_equal(instructions.value, encode_instructions(enc.language, labels).value)
 
 
 def lengths(dataset):
