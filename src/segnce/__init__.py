@@ -13,7 +13,6 @@ from .autodiff import (
     MlpParams,
     Tensor,
     cosine_similarity,
-    finite_difference_check,
     init_mlp,
     logsumexp,
     mlp_apply,
@@ -72,7 +71,6 @@ __all__ = [
     "empirical_goal_histogram",
     "encode_instructions",
     "encode_observations",
-    "finite_difference_check",
     "frame_positions",
     "goal_probability",
     "init_mlp",

@@ -15,11 +15,14 @@ output node as an argument and never captures it, so a graph holds no
 reference cycle and is freed by reference counting as soon as its root is
 released.
 
-A training step allocates as little as it can: each MLP layer is one
-affine node (``h @ w.T + b``), not a transpose, a product and a sum, and a
-backward pass zeroes a leaf's existing gradient buffer in place instead of
-dropping it, so a parameter's gradient lives in one buffer from step to
-step. Interior nodes get fresh buffers on every pass.
+A training step allocates as little as it can. A whole MLP call is one
+node (:func:`mlp_apply`), not a chain of per-layer products, sums and
+rectifiers. A backward pass keeps a leaf's gradient buffer: it marks it
+stale, writes the pass's first contribution over it (a weight gradient
+straight from its ``matmul``), adds later ones, and zeroes it at the end if
+nothing reached it. A parameter's gradient therefore lives in one buffer
+from step to step and is never zero-filled only to be added into. Interior
+nodes get fresh buffers on every pass.
 
 There is one implementation per primitive. The helpers below lift array
 inputs to constant ``Tensor``s and always return a ``Tensor``. Frozen
@@ -84,10 +87,11 @@ class Tensor:
     ``requires_grad=False``; interior nodes cache the forward value and, when
     some parent requires a gradient outside :func:`no_grad`, know how to push
     gradients to their parents. ``grad`` is ``None`` until :meth:`backward`
-    adds a first contribution.
+    makes a first contribution; ``_stale`` marks a leaf buffer that holds the
+    previous pass's gradient and is overwritten, not added to, next.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("value", "grad", "requires_grad", "_stale", "_parents", "_backward", "__weakref__")
 
     def __init__(self, value, parents=(), backward: Callable[["Tensor"], None] | None = None,
                  requires_grad: bool = True):
@@ -97,6 +101,7 @@ class Tensor:
         elif not np.isfinite(self.value).all():
             raise NumericalError("leaf tensor contains non-finite values")
         self.grad: np.ndarray | None = None
+        self._stale = False
         self.requires_grad = requires_grad
         self._parents = tuple(parents) if requires_grad else ()
         self._backward = backward if requires_grad else None
@@ -108,19 +113,39 @@ class Tensor:
     def __float__(self):
         return float(self.value)
 
-    def _add_grad(self, g) -> None:
-        """Accumulate ``g``; the first contribution is copied into a buffer laid
-        out like ``value``, which keeps later reductions over it in one order."""
+    def _first_grad(self) -> np.ndarray | None:
+        """The buffer this pass's first contribution is written into, laid out
+        like ``value`` (which keeps later reductions over it in one order), or
+        ``None`` once a contribution was made and the next must be added."""
         if self.grad is None:
             self.grad = np.empty_like(self.value)
-            self.grad[...] = g
-        else:
+        elif not self._stale:
+            return None
+        self._stale = False
+        return self.grad
+
+    def _add_grad(self, g) -> None:
+        """Accumulate ``g``: written over the buffer if first, else added."""
+        first = self._first_grad()
+        if first is None:
             self.grad += g
+        else:
+            first[...] = g
+
+    def _add_grad_of(self, op, *args, **kwargs) -> None:
+        """Accumulate ``op(*args, **kwargs)``, a numpy function taking ``out=``:
+        a first contribution is computed straight into the buffer."""
+        first = self._first_grad()
+        if first is None:
+            self.grad += op(*args, **kwargs)
+        else:
+            op(*args, out=first, **kwargs)
 
     def _grad_buffer(self) -> np.ndarray:
         """The gradient buffer, zero-filled on first use, for scattered updates."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
+        first = self._first_grad()
+        if first is not None:
+            first.fill(0.0)
         return self.grad
 
     # ---- graph construction -------------------------------------------------
@@ -202,10 +227,6 @@ class Tensor:
     def T(self):
         return Tensor(self.value.T, (self,), lambda out: self._add_grad(out.grad.T))
 
-    def relu(self):
-        return Tensor(np.maximum(self.value, 0.0), (self,),
-                      lambda out: self._add_grad(out.grad * (self.value > 0)))
-
     def exp(self):
         return Tensor(np.exp(self.value), (self,), lambda out: self._add_grad(out.grad * out.value))
 
@@ -277,26 +298,33 @@ class Tensor:
         return order
 
     def backward(self):
-        """Accumulate d(self)/d(node) into ``grad`` for every reachable node
-        that requires a gradient.
+        """Set ``grad`` to d(self)/d(node) on every reachable node that
+        requires a gradient.
 
-        The root must be scalar-valued. Gradients on reachable nodes are
-        cleared first, so repeated passes do not leak across calls: a leaf
-        that already has a buffer gets it zeroed in place (the same array
-        serves every pass), any other node starts again from ``None``.
+        The root must be scalar-valued. Nothing leaks from an earlier pass:
+        an interior node starts again from ``None``, and a leaf that already
+        has a buffer keeps that same array but marks it stale. Its first
+        contribution of this pass is then written over it, later ones are
+        added, and a reachable leaf that gets none is zeroed at the end.
         """
         if self.value.ndim != 0:
             raise GraphError(f"backward requires a scalar root, got shape {self.value.shape}")
         order = self._topo_order()
+        leaves = []
         for node in order:
             if node._parents or node.grad is None:
                 node.grad = None
             else:
-                node.grad.fill(0.0)
-        self.grad = np.ones_like(self.value)
+                node._stale = True
+                leaves.append(node)
+        self._add_grad(1.0)
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node)
+        for leaf in leaves:
+            if leaf._stale:
+                leaf._stale = False
+                leaf.grad.fill(0.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, leaf={not self._parents})"
@@ -407,8 +435,10 @@ def logsumexp(xs, axis=None) -> Tensor:
 class MlpParams:
     """Dense MLP parameters: rectifier between affine layers, affine output.
 
-    Weight matrices are stored (out, in). Entries are Tensor leaves: a forward
-    pass builds a graph into them, unless it runs inside :func:`no_grad`.
+    Weight matrices are stored (out, in), the layout their gradients are
+    computed in. Entries are Tensor leaves (or, in gradient checks, interior
+    nodes): a forward pass records one :func:`mlp_apply` node over all of
+    them, unless it runs inside :func:`no_grad`.
     """
 
     widths: list[int]
@@ -431,84 +461,47 @@ def init_mlp(widths: Sequence[int], rng: np.random.Generator) -> MlpParams:
     return MlpParams(widths=widths, weights=weights, biases=biases)
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w.T + b`` for a vector or a (batch, in) matrix ``x``, as one node.
+def mlp_apply(params: MlpParams, x) -> Tensor:
+    """Apply the MLP to a single vector or a (batch, in) matrix, as one node;
+    an array input is lifted as a constant, so it gets no gradient.
 
-    Values and gradients are bit for bit those of the three-node graph
-    ``x @ w.T + b``: ``x`` gets ``g @ w``, ``w`` gets ``(x.T @ g).T`` (an outer
-    product for a vector ``x``) and ``b`` the batch sum of ``g``.
+    Values and gradients are bit for bit those of the per-layer composite
+    graph ``h = (h @ w.T + b).maximum(0.0)``, affine at the output, fed the
+    same matrix. A vector runs as a one-row matrix; against the composite fed
+    the vector, whose weight gradients are outer products, only the sign of
+    a zero can differ. The backward pass walks the layers in reverse:
+    each bias gets the batch sum of ``g``, each weight ``g.T @ h`` in its own
+    layout (written straight into its buffer when it is the first
+    contribution), and ``g @ w``, masked in place by the rectifier, passes
+    down to the layer below.
     """
-    value = x.value @ w.value.T
-    value += b.value
+    x = Tensor._lift(x)
+    if x.value.ndim not in (1, 2) or x.value.shape[-1] != params.widths[0]:
+        raise ShapeMismatchError(
+            f"mlp input shape {x.value.shape} does not match first layer width {params.widths[0]}"
+        )
+    weights, biases = params.weights, params.biases
+    inputs = []  # each layer's input; a hidden layer's is also its rectifier's output
+    h = x.value if x.value.ndim == 2 else x.value[None]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(h)
+        h = h @ w.value.T
+        h += b.value
+        if i < len(weights) - 1:
+            h = np.maximum(h, 0.0)
 
     def backward(out):
-        g = out.grad
-        if x.requires_grad:
-            x._add_grad(g @ w.value)
-        if w.requires_grad:
-            w._add_grad((np.outer(x.value, g) if x.value.ndim == 1 else x.value.T @ g).T)
-        if b.requires_grad:
-            b._add_grad(_unbroadcast(g, b.value.shape))
+        g = out.grad if x.value.ndim == 2 else out.grad[None]
+        for i in reversed(range(len(weights))):
+            w, b, h = weights[i], biases[i], inputs[i]
+            if b.requires_grad:
+                b._add_grad_of(np.sum, g, axis=0)
+            if w.requires_grad:
+                w._add_grad_of(np.matmul, g.T, h)
+            if i > 0:
+                g = g @ w.value
+                g *= h > 0
+            elif x.requires_grad:
+                x._add_grad((g @ w.value).reshape(x.value.shape))
 
-    return Tensor(value, (x, w, b), backward)
-
-
-def mlp_apply(params: MlpParams, x) -> Tensor:
-    """Apply the MLP to a single vector or a (batch, in) matrix; an array input
-    is lifted as a constant, so it gets no gradient."""
-    h = Tensor._lift(x)
-    if h.value.ndim not in (1, 2) or h.value.shape[-1] != params.widths[0]:
-        raise ShapeMismatchError(
-            f"mlp input shape {h.value.shape} does not match first layer width {params.widths[0]}"
-        )
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = _affine(h, w, b)
-        if i < len(params.weights) - 1:
-            h = h.relu()
-    return h
-
-
-# ---- gradient checking ----------------------------------------------------------
-
-
-def finite_difference_check(
-    f: Callable[[Tensor], Tensor], theta, step: float = 1e-6
-) -> float:
-    """Compare the analytic gradient of ``f`` at ``theta`` against central differences.
-
-    ``f`` takes a leaf Tensor and must rebuild its graph on every call.
-    Returns the worst per-coordinate discrepancy relative to the gradient's
-    overall magnitude (floored at 1e-8), so exactly-zero gradients compare
-    clean and near-zero coordinates are judged against the gradient scale
-    rather than their own vanishing magnitude.
-    """
-    theta = as_array(theta)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    leaf = Tensor(theta.copy())
-    out = f(leaf)
-    if not isinstance(out, Tensor):
-        raise GraphError("f must return a Tensor for the analytic gradient")
-    if not np.isfinite(out.value):
-        raise NumericalError("f(theta) is not finite")
-    out.backward()
-    analytic = leaf.grad.copy()
-
-    numeric = np.zeros_like(theta)
-    flat = theta.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = f(Tensor(theta.copy()))
-        flat[i] = orig - step
-        lo = f(Tensor(theta.copy()))
-        flat[i] = orig
-        hi_v, lo_v = float(hi.value), float(lo.value)
-        if not (np.isfinite(hi_v) and np.isfinite(lo_v)):
-            raise NumericalError(f"non-finite value during finite differences at coordinate {i}")
-        num_flat[i] = (hi_v - lo_v) / (2.0 * step)
-
-    scale = max(float(np.max(np.abs(analytic), initial=0.0)),
-                float(np.max(np.abs(numeric), initial=0.0)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric), initial=0.0)) / scale
+    return Tensor(h if x.value.ndim == 2 else h[0], (x, *weights, *biases), backward)

@@ -59,7 +59,7 @@ def _roll_z(world: World, task: int, z0: float, actions: np.ndarray) -> np.ndarr
     zs[:, 0] = z0
     z = np.full(n, z0)
     for t in range(horizon):
-        z = np.clip(z + STEP_GAIN * proj[:, t], 0.0, 1.0)
+        z = np.minimum(np.maximum(z + STEP_GAIN * proj[:, t], 0.0), 1.0)  # np.clip, bit for bit
         zs[:, t + 1] = z
     return zs
 

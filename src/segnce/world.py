@@ -258,7 +258,7 @@ class World:
             obs = self.render(tasks, zs, distractors, draws[:, :n_noise] if n_noise else None)
             actions = self.clamp_actions(act(obs, zs))
             gains = np.matmul(actions[:, None, :], directions[:, :, None])[:, 0, 0]
-            zs = np.clip(zs + STEP_GAIN * gains, 0.0, 1.0)
+            zs = np.minimum(np.maximum(zs + STEP_GAIN * gains, 0.0), 1.0)  # np.clip, bit for bit
             distractors += draws[:, n_noise:]
         return [LatentState(int(t), float(z), d) for t, z, d in zip(tasks, zs, distractors)]
 

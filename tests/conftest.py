@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
+from typing import Callable
+
 import numpy as np
 
-from segnce.autodiff import MlpParams, finite_difference_check
+from segnce.autodiff import MlpParams, Tensor, as_array
 from segnce.encoders import (
     EncoderConfig,
     Encoders,
@@ -12,7 +14,62 @@ from segnce.encoders import (
     encode_observations,
     init_params,
 )
+from segnce.errors import GraphError, NumericalError
 from segnce.objectives import ObjectiveSpec, batch_loss
+
+
+def finite_difference_check(
+    f: Callable[[Tensor], Tensor], theta, step: float = 1e-6
+) -> float:
+    """Compare the analytic gradient of ``f`` at ``theta`` against central differences.
+
+    ``f`` takes a leaf Tensor and must rebuild its graph on every call.
+    Returns the worst per-coordinate discrepancy relative to the gradient's
+    overall magnitude (floored at 1e-8), so exactly-zero gradients compare
+    clean and near-zero coordinates are judged against the gradient scale
+    rather than their own vanishing magnitude.
+    """
+    theta = as_array(theta)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    leaf = Tensor(theta.copy())
+    out = f(leaf)
+    if not isinstance(out, Tensor):
+        raise GraphError("f must return a Tensor for the analytic gradient")
+    if not np.isfinite(out.value):
+        raise NumericalError("f(theta) is not finite")
+    out.backward()
+    analytic = leaf.grad.copy()
+
+    numeric = np.zeros_like(theta)
+    flat = theta.reshape(-1)
+    num_flat = numeric.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = f(Tensor(theta.copy()))
+        flat[i] = orig - step
+        lo = f(Tensor(theta.copy()))
+        flat[i] = orig
+        hi_v, lo_v = float(hi.value), float(lo.value)
+        if not (np.isfinite(hi_v) and np.isfinite(lo_v)):
+            raise NumericalError(f"non-finite value during finite differences at coordinate {i}")
+        num_flat[i] = (hi_v - lo_v) / (2.0 * step)
+
+    scale = max(float(np.max(np.abs(analytic), initial=0.0)),
+                float(np.max(np.abs(numeric), initial=0.0)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric), initial=0.0)) / scale
+
+
+def reference_mlp(params: MlpParams, x) -> Tensor:
+    """The per-layer composite graph that the fused ``mlp_apply`` node
+    reproduces: ``(h @ w.T + b).maximum(0.0)`` per hidden layer, affine out."""
+    h = Tensor._lift(x)
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w.T + b
+        if i < len(params.weights) - 1:
+            h = h.maximum(0.0)
+    return h
 
 
 def loss_gradient_error(variant: str, seed: int, batch_size: int = 4, step: float = 1e-6) -> float:

@@ -1,5 +1,5 @@
 """Unit tests for the reverse-mode core: operators, similarity, log-sum-exp,
-the MLP, and the finite-difference checker."""
+the MLP, leaf gradient buffers, and the finite-difference checker."""
 
 import numpy as np
 import pytest
@@ -7,18 +7,19 @@ import pytest
 from segnce.autodiff import (
     MlpParams,
     Tensor,
-    _affine,
     concat_rows,
     cosine_matrix,
     cosine_similarity,
-    finite_difference_check,
     init_mlp,
     logsumexp,
     mlp_apply,
     no_grad,
     normalize_rows,
 )
+from segnce.encoders import EncoderConfig, Instruction, encode_instructions, init_params
 from segnce.errors import EmptyInputError, GraphError, NumericalError, ShapeMismatchError
+
+from conftest import finite_difference_check, reference_mlp
 
 
 class TestCosineSimilarity:
@@ -162,37 +163,121 @@ class TestBackward:
         assert np.array_equal(w.grad, fresh.grad)
 
 
-class TestAffine:
+class TestFusedMlp:
+    """``mlp_apply`` is one node whose value and gradients (input, every
+    weight, every bias) are, bit for bit, those of the per-layer composite.
+
+    A vector runs as a one-row matrix, so it is checked bit for bit against
+    the composite fed that one-row matrix. Against the composite fed the
+    vector itself it is equal as numbers: there a weight gradient is an
+    outer product, which keeps the sign of a zero product, where a one-row
+    matrix product gives +0.
+    """
+
     @staticmethod
-    def _grads(layer, x0, w0, b0, c):
-        x, w, b = Tensor(x0.copy()), Tensor(w0.copy()), Tensor(b0.copy())
-        out = layer(x, w, b)
+    def _values_and_grads(apply, widths, x0, input_grad, c):
+        params = init_mlp(widths, np.random.default_rng(13))
+        x = Tensor(x0.copy(), requires_grad=input_grad)
+        out = apply(params, x)
         (out * c).sum().backward()
-        return out.value, x.grad, w.grad, b.grad
+        grads = [out.value, x.grad] if input_grad else [out.value]
+        return [*grads, *(leaf.grad for leaf in params.leaves())]
 
-    @pytest.mark.parametrize("x_shape", [(4,), (6, 4)])
-    def test_matches_three_node_graph_bit_for_bit(self, x_shape):
+    @pytest.mark.parametrize("input_grad", [True, False], ids=["input-grad", "constant-input"])
+    @pytest.mark.parametrize("x_shape", [(5,), (6, 5)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_composite_bit_for_bit(self, layers, x_shape, input_grad):
         rng = np.random.default_rng(11)
-        x0, w0, b0 = rng.normal(size=x_shape), rng.normal(size=(3, 4)), rng.normal(size=3)
+        widths = [5, 7, 4, 3][: layers] + [3]
+        x0 = rng.normal(size=x_shape)
         c = rng.normal(size=(*x_shape[:-1], 3))
-        one = self._grads(_affine, x0, w0, b0, c)
-        three = self._grads(lambda x, w, b: x @ w.T + b, x0, w0, b0, c)
-        for a, b in zip(one, three):
-            assert a.shape == b.shape and np.array_equal(a, b)
+        fused = self._values_and_grads(mlp_apply, widths, x0, input_grad, c)
+        reference = self._values_and_grads(reference_mlp, widths, x0, input_grad, c)
+        if x0.ndim == 1:
+            for got, want in zip(fused, reference):
+                assert got.shape == want.shape and np.array_equal(got, want)
+            one_row = self._values_and_grads(reference_mlp, widths, x0[None], input_grad, c[None])
+            reference = [*(a[0] for a in one_row[: 1 + input_grad]), *one_row[1 + input_grad:]]
+        for got, want in zip(fused, reference):
+            assert_bits_equal(got, want)
 
-    @pytest.mark.parametrize("x_shape", [(4,), (6, 4)])
-    def test_central_differences(self, x_shape):
+    @pytest.mark.parametrize("x_shape", [(4,), (6, 4)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_central_differences(self, layers, x_shape):
         rng = np.random.default_rng(12)
-        theta = rng.normal(size=int(np.prod(x_shape)) + 12 + 3)
-        c = rng.normal(size=(*x_shape[:-1], 3))
-        n = int(np.prod(x_shape))
+        widths = [4, 5, 3, 2][: layers] + [2]
+        shapes = [x_shape, *((o, i) for i, o in zip(widths[:-1], widths[1:])), *((o,) for o in widths[1:])]
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        theta = rng.normal(size=sum(sizes))
+        c = rng.normal(size=(*x_shape[:-1], 2))
 
         def f(t):
-            x = t.slice_rows(0, n).reshape(x_shape)
-            w = t.slice_rows(n, n + 12).reshape((3, 4))
-            return (_affine(x, w, t.slice_rows(n + 12, n + 15)).exp() * c).sum()
+            bounds = np.cumsum([0, *sizes])
+            x, *pieces = [t.slice_rows(lo, hi).reshape(shape)
+                          for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes)]
+            params = MlpParams(widths=widths, weights=pieces[:layers], biases=pieces[layers:])
+            return (mlp_apply(params, x).exp() * c).sum()
 
         assert finite_difference_check(f, theta, step=1e-6) <= 1e-6
+
+    def test_one_call_records_one_node(self):
+        params = init_mlp([4, 6, 5, 3], np.random.default_rng(14))
+        x = Tensor(np.ones((7, 4)))
+        out = mlp_apply(params, x)
+        assert out._parents == (x, *params.weights, *params.biases)
+        assert [node for node in out._topo_order() if node._parents] == [out]
+
+
+class TestLeafGradientBuffers:
+    """A backward pass writes a leaf's first contribution over its stale
+    buffer, adds the rest, and zeroes a buffer that gets none."""
+
+    def test_reachable_leaf_without_contribution_reads_zeros(self):
+        params = init_mlp([4, 5, 2], np.random.default_rng(15))
+        x = np.random.default_rng(16).normal(size=(6, 4))
+        mlp_apply(params, x).exp().sum().backward()
+        frozen = params.weights[0]
+        buffer = frozen.grad
+        assert np.any(buffer)
+        frozen.requires_grad = False  # frozen between passes: still a parent of the node, fed nothing
+        mlp_apply(params, x).exp().sum().backward()
+        assert frozen.grad is buffer and not np.any(frozen.grad)
+        assert all(np.any(leaf.grad) for leaf in params.leaves() if leaf is not frozen)
+
+    def test_leaf_fed_by_two_nodes_accumulates_both_into_its_buffer(self):
+        rng = np.random.default_rng(16)
+        x1, x2 = rng.normal(size=(6, 4)), rng.normal(size=(3, 4))
+        c1, c2 = rng.normal(size=(6, 2)), rng.normal(size=(3, 2))
+
+        def grads(apply, stale):
+            params = init_mlp([4, 5, 2], np.random.default_rng(17))
+            if stale:  # a first pass leaves a buffer on every leaf
+                (apply(params, x2) * c2).sum().backward()
+            buffers = [leaf.grad for leaf in params.leaves()]
+            ((apply(params, x1) * c1).sum() + (apply(params, x2) * c2).sum()).backward()
+            assert all(leaf.grad is buffer for leaf, buffer in zip(params.leaves(), buffers) if stale)
+            return [leaf.grad for leaf in params.leaves()]
+
+        fused = grads(mlp_apply, stale=True)
+        reference = grads(reference_mlp, stale=False)
+        for got, want in zip(fused, reference):
+            assert_bits_equal(got, want)
+
+    def test_take_rows_scatters_into_stale_token_table(self):
+        config = EncoderConfig(d_obs=4, embed_dim=3, vision_hidden=(4,), token_dim=4,
+                               projection_hidden=(5,), vocab_size=6)
+        weights = np.random.default_rng(18).normal(size=(4, 3))
+
+        def table_grad(enc, instructions):
+            (encode_instructions(enc.language, instructions) * weights[: len(instructions)]).sum().backward()
+            return enc.language.table.grad
+
+        enc, fresh = init_params(config, 3), init_params(config, 3)
+        buffer = table_grad(enc, [Instruction(0, 4), Instruction(1, 5), Instruction(2, 4), Instruction(3, 5)])
+        before = buffer.copy()
+        second = table_grad(enc, [Instruction(0, 5), Instruction(0, 5)])  # rows 1-4 of the table go untouched
+        assert second is buffer and not np.array_equal(second, before)
+        assert_bits_equal(second, table_grad(fresh, [Instruction(0, 5), Instruction(0, 5)]))
 
 
 def reference_cosine_matrix(a, b):

@@ -20,10 +20,10 @@ from segnce.imitation import (
 from segnce.objectives import ObjectiveSpec
 from segnce.planning import execute_plan
 from segnce.sampling import Trajectory
-from segnce.training import TrainConfig, save_checkpoint, train, write_array_archive
+from segnce.training import Adam, TrainConfig, save_checkpoint, train, write_array_archive
 from segnce.world import SCENE_DRIFT, WALK_SIGMA, World, WorldConfig
 
-from conftest import render_one
+from conftest import reference_mlp, render_one
 from test_training import ReferenceAdam
 
 
@@ -110,6 +110,31 @@ def test_train_bc_matches_per_leaf_reference_adam_bit_for_bit(tiny_ckpt, demos):
     assert policy.loss_history.tobytes() == np.array(history).tobytes()
     for got, want in zip(policy.mlp.leaves(), leaves):
         assert got.value.tobytes() == want.value.tobytes()
+
+
+def test_train_bc_matches_per_layer_composite_graph_bit_for_bit(tiny_ckpt, demos):
+    """The loss history and final weights of ``train_bc`` equal, bit for bit,
+    those of the same loop building the per-layer composite graph in place
+    of the fused ``mlp_apply`` node, at batch sizes 1 and 16."""
+    for batch_size in (1, 16):
+        config = BcConfig(hidden=(64, 32), batch_size=batch_size, steps=60, seed=4)
+        policy = train_bc(tiny_ckpt, demos, config)
+
+        inputs, targets = featurize_demos(tiny_ckpt, demos)
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBC]))
+        mlp = init_mlp([inputs.shape[1], *config.hidden, targets.shape[1]], rng)
+        optimizer = Adam(mlp.leaves(), config.learning_rate)
+        history = []
+        for _ in range(config.steps):
+            idx = rng.integers(0, len(inputs), size=min(config.batch_size, len(inputs)))
+            err = reference_mlp(mlp, inputs[idx]) - targets[idx]
+            loss = (err * err).sum() * (1.0 / err.value.size)
+            history.append(float(loss.value))
+            loss.backward()
+            optimizer.step()
+        assert policy.loss_history.tobytes() == np.array(history).tobytes()
+        for got, want in zip(policy.mlp.leaves(), mlp.leaves()):
+            assert got.value.tobytes() == want.value.tobytes()
 
 
 def test_divergence_names_step_seed_and_learning_rate(tiny_ckpt, demos):
