@@ -20,7 +20,7 @@ from .analysis import embed_frames, embed_instructions
 from .encoders import Instruction
 from .errors import CheckpointFormatError, EmptyInputError, NumericalError, TrainingDivergedError, check_number
 from .sampling import Trajectory
-from .training import Adam, Checkpoint, mlp_arrays, mlp_from_arrays, read_array_archive, write_array_archive
+from .training import Adam, Checkpoint, _grad_norm, mlp_arrays, mlp_from_arrays, read_array_archive, write_array_archive
 from .world import World
 
 
@@ -97,11 +97,10 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
                 f"(seed {config.seed}, learning_rate {config.learning_rate!r})"
             )
         loss.backward()
-        # one dot per leaf: no parameter-sized temporary
-        squared_norm = sum(float(np.vdot(leaf.grad, leaf.grad)) for leaf in leaves)
-        if not math.isfinite(squared_norm):
+        grad_norm = _grad_norm(leaves)
+        if not math.isfinite(grad_norm):
             raise TrainingDivergedError(
-                step, f"non-finite behavior-cloning gradient norm {math.sqrt(squared_norm)} at step {step} "
+                step, f"non-finite behavior-cloning gradient norm {grad_norm} at step {step} "
                 f"(seed {config.seed}, learning_rate {config.learning_rate!r})"
             )
         optimizer.step()

@@ -192,10 +192,9 @@ def make_optimizer(config: TrainConfig, leaves: Sequence[Tensor]):
 
 
 def _grad_norm(leaves: Sequence[Tensor]) -> float:
-    total = 0.0
-    for leaf in leaves:
-        total += float((leaf.grad * leaf.grad).sum())
-    return float(np.sqrt(total))
+    """Euclidean norm of all leaf gradients: one dot per leaf, so no
+    parameter-sized temporary."""
+    return math.sqrt(sum(float(np.vdot(leaf.grad, leaf.grad)) for leaf in leaves))
 
 
 def batch_embeddings(embed, observations: np.ndarray, rows: np.ndarray) -> list[Tensor]:

@@ -17,6 +17,12 @@ trajectory is certain to reach z = 1 when h_max >= 40 (the default): each
 earlier step gains at least 0.5 * STEP_GAIN, so z >= 0.95 before the last
 chance, whose pace is then at most 1 and never clamped. Shorter horizons can
 end below 1.
+
+Generation draws its randomness per block of 256 trajectories: one generator
+per block, and every random quantity one array with a row per trajectory. A
+trajectory depends only on its block's generator and its row, so the first k
+trajectories of a larger dataset are the k-trajectory dataset of the same
+seed.
 """
 
 from __future__ import annotations
@@ -49,10 +55,13 @@ DISTRACTOR_FRACTION = 0.25
 # The squared-progression feature is shared between mirror tasks; its
 # rendering weight is tempered so mirrored motions stay distinguishable.
 EVEN_CHANNEL_SCALE = 0.35
-# The expert runs this many trajectories in lock step at a time. A group
-# shares each step's array work among enough rows to make it cheap, while
-# its per-step rows and compact arrays stay small: one lock step over all
-# 4000 trajectories of a large dataset peaked at 218 MB RSS, not 188 MB.
+# The expert runs blocks of this many trajectories in lock step, one
+# generator per block. A block shares each step's array work among enough
+# rows to make it cheap, while its per-step rows and compact arrays stay
+# small: one lock step over all 4000 trajectories of a large dataset peaked
+# at 218 MB RSS, not 188 MB. The block size is part of the data layout:
+# every draw has one row per slot of the block, so changing it re-bases
+# every dataset and demo set.
 _LOCK_STEP_GROUP = 256
 # Progression level above which an instruction counts as accomplished.
 SUCCESS_THRESHOLD = 0.9
@@ -278,33 +287,43 @@ class World:
 
     # ---- scripted expert generation --------------------------------------------
 
-    def _expert_trajectories(self, tasks: Sequence[int], rngs: Sequence[np.random.Generator]) -> list[Trajectory]:
-        """One scripted-expert trajectory per task, run in lock step over
-        groups of ``_LOCK_STEP_GROUP``; each step advances the trajectories
-        still running as arrays and renders their frames in one call.
+    def _expert_trajectories(self, n: int, root: np.random.SeedSequence,
+                             tasks: Optional[np.ndarray] = None) -> list[Trajectory]:
+        """``n`` scripted-expert trajectories, run in lock step over blocks of
+        ``_LOCK_STEP_GROUP``; each step advances the trajectories still
+        running as arrays and renders their frames in one call.
 
-        Trajectory i draws from ``rngs[i]`` in the order of one trajectory
-        run alone: its start state and frame 0's render noise, then per step
-        the pace while z < 1 (``low + (high - low) * random()``, numpy's own
-        ``uniform``, drawn at the last-chance step too), then one draw
-        holding the scene drift, the walk and the frame's render noise.
+        Each block draws from one generator spawned from ``root``, every
+        random quantity as one array of ``_LOCK_STEP_GROUP`` rows, row i for
+        trajectory ``lo + i``: the tasks (unless ``tasks`` gives them), the
+        start state's scene offset and walk (z = 0), frame 0's render noise,
+        then per step until the block's last trajectory ends the paces
+        (``low + (high - low) * random()``, numpy's own ``uniform``, drawn at
+        the last-chance step too) and one draw holding the scene drift, the
+        walk and the frame's render noise. Every row draws whether its
+        trajectory runs, has finished or lies past the end of a short last
+        block, so a trajectory depends only on its block's generator and its
+        row, and the first k of n trajectories equal those of a call for k.
         Distractors accumulate their steps in ``np.cumsum``'s order, and the
         gain is a stacked matmul that equals ``a @ d``, so every output is
-        bit for bit the per-frame loop's."""
+        bit for bit the per-frame loop's on the same rows."""
         cfg = self.config
         drift, noise = self._step_scales()
         scales, n_dist = np.concatenate([drift, noise]), len(drift)
         low, high = EXPERT_PACE
+        width = _LOCK_STEP_GROUP
+        instructions = self.instructions()
         out = []
-        for lo in range(0, len(tasks), _LOCK_STEP_GROUP):
-            group = np.array(tasks[lo : lo + _LOCK_STEP_GROUP], dtype=np.int64)
-            group_rngs = rngs[lo : lo + _LOCK_STEP_GROUP]
-            starts = [self.sample_start(task, rng) for task, rng in zip(group, group_rngs)]
-            distractors = np.array([s.distractors for s in starts])
+        for lo, block_seed in zip(range(0, n, width), root.spawn(-(-n // width))):
+            rng = np.random.default_rng(block_seed)
+            size = min(width, n - lo)
+            group = rng.integers(0, cfg.n_tasks, width)[:size] if tasks is None else tasks[lo : lo + size]
+            scene = rng.normal(0.0, SCENE_SIGMA, (width, self.n_scene))
+            distractors = np.concatenate([scene, rng.normal(0.0, 1.0, (width, self.n_walk))], axis=1)[:size]
+            zs = np.zeros(size)
+            first_noise = rng.standard_normal((width, len(noise)))[:size] * noise
             directions = np.array([self.direction(task) for task in group])
-            zs = np.array([s.z for s in starts])
-            first_noise = np.array([rng.standard_normal(len(noise)) for rng in group_rngs]) * noise
-            run = np.arange(len(group))  # the trajectories still running
+            run = np.arange(size)  # the trajectories still running
             # per step: the running rows, their frames, z and actions
             steps = [(run, self.render(group, zs, distractors, first_noise if len(noise) else None), zs.copy(), None)]
             for t in range(1, cfg.h_max):
@@ -313,7 +332,7 @@ class World:
                     break
                 moving = zs[run] < 1.0  # the rest have finished and hold still
                 rows = run[moving]
-                paces = np.array([low + (high - low) * group_rngs[i].random() for i in rows])
+                paces = (low + (high - low) * rng.random(width))[rows]
                 if t == cfg.h_max - 1:
                     # last chance, drawn pace overridden: the pace that
                     # finishes, which the clamp can cap below z = 1 when
@@ -323,20 +342,20 @@ class World:
                 moved = self.clamp_actions(paces[:, None] * d)
                 gains = np.matmul(moved[:, None, :], d[:, :, None])[:, 0, 0]
                 zs[rows] = np.minimum(np.maximum(zs[rows] + STEP_GAIN * gains, 0.0), 1.0)
-                draws = np.array([group_rngs[i].standard_normal(len(scales)) for i in run]) * scales
+                draws = rng.standard_normal((width, len(scales)))[run] * scales
                 distractors[run] += draws[:, :n_dist]
                 frames = self.render(group[run], zs[run], distractors[run], draws[:, n_dist:] if len(noise) else None)
                 actions = np.zeros((len(run), cfg.d_act))
                 actions[moving] = moved
                 steps.append((run, frames, zs[run], actions))
             # scatter the step rows into compact trajectory-major arrays
-            h = np.zeros(len(group), dtype=np.int64)
+            h = np.zeros(size, dtype=np.int64)
             for run, *_ in steps:
                 h[run] += 1
             first = np.cumsum(h) - h  # each trajectory's first row
             observations = np.empty((int(h.sum()), cfg.d_obs))
             progression = np.empty(len(observations))
-            actions = np.empty((len(observations) - len(group), cfg.d_act))
+            actions = np.empty((len(observations) - size, cfg.d_act))
             for t, (run, frames, z, step_actions) in enumerate(steps):
                 observations[first[run] + t] = frames
                 progression[first[run] + t] = z
@@ -347,8 +366,8 @@ class World:
                 Trajectory(*piece)
                 for piece in zip(
                     np.split(observations, ends),
-                    [self.instruction_for_task(int(task)) for task in group],
-                    np.split(actions, ends - np.arange(1, len(group))),
+                    [instructions[task] for task in group.tolist()],
+                    np.split(actions, ends - np.arange(1, size)),
                     np.split(progression, ends),
                 )
             ]
@@ -359,16 +378,15 @@ class World:
         if n_trajectories < 1:
             raise EmptyInputError("need at least one trajectory")
         root = np.random.SeedSequence([self.config.seed if seed is None else seed, 0xDA7A])
-        rngs = [np.random.default_rng(child) for child in root.spawn(n_trajectories)]
-        return self._expert_trajectories([int(rng.integers(0, self.config.n_tasks)) for rng in rngs], rngs)
+        return self._expert_trajectories(n_trajectories, root)
 
     def generate_demos(self, per_task: int, seed: Optional[int] = None) -> list[Trajectory]:
         """Balanced demonstrations: exactly ``per_task`` trajectories per task."""
         if per_task < 1:
             raise EmptyInputError("need at least one demo per task")
         root = np.random.SeedSequence([self.config.seed if seed is None else seed, 0xDE40])
-        rngs = [np.random.default_rng(child) for child in root.spawn(per_task * self.config.n_tasks)]
-        return self._expert_trajectories([i % self.config.n_tasks for i in range(len(rngs))], rngs)
+        n = per_task * self.config.n_tasks
+        return self._expert_trajectories(n, root, np.arange(n) % self.config.n_tasks)
 
 
 # ---- serialization -----------------------------------------------------------------

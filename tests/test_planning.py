@@ -31,6 +31,15 @@ def tiny_ckpt(world):
     return train(TrainConfig(objective=ObjectiveSpec(variant="t"), iterations=20, batch_size=8, seed=0), dataset)
 
 
+@pytest.fixture(scope="module")
+def trained_ckpt(world):
+    # 20 iterations at batch 8 leave the endpoint reward's sign a coin flip
+    # (it held on 26 and 28 of 40 data seeds under two data layouts); this
+    # size held on all 40 under both
+    dataset = world.generate(200, seed=1)
+    return train(TrainConfig(objective=ObjectiveSpec(variant="t"), iterations=200, batch_size=32, seed=0), dataset)
+
+
 class TestNormalizeAndWeights:
     def test_normalized_moments(self):
         rng = np.random.default_rng(0)
@@ -103,12 +112,12 @@ class TestRolloutReturn:
         sT = cosine_similarity(embed_frames(tiny_ckpt, obsT[None])[0], psi)
         assert ret == pytest.approx(sT - s0, abs=1e-12)
 
-    def test_expert_beats_reversed_expert(self, tiny_ckpt, world):
+    def test_expert_beats_reversed_expert(self, trained_ckpt, world):
         demo = world.generate_demos(1, seed=5)[0]
         task = world.task_for_instruction(demo.instruction)
         state = world.sample_start(task, np.random.default_rng(6))
-        fwd = rollout_return(tiny_ckpt, world, state, demo.actions, demo.instruction)
-        rev = rollout_return(tiny_ckpt, world, state, -demo.actions, demo.instruction)
+        fwd = rollout_return(trained_ckpt, world, state, demo.actions, demo.instruction)
+        rev = rollout_return(trained_ckpt, world, state, -demo.actions, demo.instruction)
         assert rev <= fwd
 
     def test_batch_returns_match_single_rollouts(self, tiny_ckpt, world):

@@ -12,6 +12,7 @@ from segnce.errors import DatasetFormatError, VocabularyError
 from segnce.world import (
     EXPERT_PACE,
     SCENE_DRIFT,
+    SCENE_SIGMA,
     STEP_GAIN,
     SUCCESS_THRESHOLD,
     WALK_SIGMA,
@@ -31,29 +32,71 @@ def world():
     return World(WorldConfig())
 
 
-def expert_one_frame_at_a_time(world, task, rng):
-    """Reference expert: one ``step``, distractor update and render per frame,
-    each noise source drawn by its own ``normal`` call."""
+def block_draws(world, rng, tasks=None):
+    """Reference draws of one lock-step block, one row per trajectory, in
+    the expert's order: the tasks (unless given), the start distractors,
+    frame 0's render noise, then per step the paces and one row each of
+    scene drift, walk and render noise, each source drawn by a ``normal`` or
+    ``uniform`` call. Every one of the ``h_max - 1`` steps is drawn; the
+    expert stops at its block's last trajectory, which changes no row of an
+    earlier step."""
     cfg = world.config
+    width = world_module._LOCK_STEP_GROUP
+    if tasks is None:
+        tasks = rng.integers(0, cfg.n_tasks, width)
+    scene = rng.normal(0.0, SCENE_SIGMA, (width, world.n_scene))
+    distractors = np.concatenate([scene, rng.normal(0.0, 1.0, (width, world.n_walk))], axis=1)
+    n_noise = cfg.d_obs if cfg.noise > 0 else 0
+    first_noise = rng.normal(0.0, cfg.noise, (width, n_noise))
+    scales = [SCENE_DRIFT] * world.n_scene + [WALK_SIGMA] * world.n_walk + [cfg.noise] * n_noise
+    steps = [(rng.uniform(*EXPERT_PACE, width), rng.normal(0.0, scales, (width, len(scales))))
+             for _ in range(1, cfg.h_max)]
+    return tasks, distractors, first_noise, steps
+
+
+def expert_one_frame_at_a_time(world, draws, i):
+    """Reference expert: trajectory ``i`` of a block, one ``step``,
+    distractor update and render per frame, from row ``i`` of the block's
+    :func:`block_draws`."""
+    cfg = world.config
+    tasks, distractors, first_noise, steps = draws
+    task = int(tasks[i])
+    n_dist = world.n_scene + world.n_walk
+
+    def frame(state, noise):
+        obs = render_one(world, task, state.z, state.distractors)
+        if len(noise):
+            obs += noise
+        return obs
+
     d = world.direction(task)
-    state = world.sample_start(task, rng)
-    observations = [render_one(world, task, state.z, state.distractors, rng)]
+    state = LatentState(task=task, z=0.0, distractors=distractors[i].copy())
+    observations = [frame(state, first_noise[i])]
     zs, actions = [state.z], []
-    while not (state.z >= 1.0 and len(zs) >= cfg.h_min) and len(zs) < cfg.h_max:
+    for paces, noise in steps:
+        if state.z >= 1.0 and len(zs) >= cfg.h_min:
+            break
         if state.z >= 1.0:
             action = np.zeros(cfg.d_act)
         else:
-            pace = rng.uniform(*EXPERT_PACE)
+            pace = paces[i]
             if len(zs) == cfg.h_max - 1:
                 pace = (1.0 - state.z) / STEP_GAIN
             action = world.clamp_actions(pace * d)
         state = world.step(state, action)
-        state.distractors[: world.n_scene] += rng.normal(0.0, SCENE_DRIFT, world.n_scene)
-        state.distractors[world.n_scene :] += rng.normal(0.0, WALK_SIGMA, world.n_walk)
+        state.distractors += noise[i, :n_dist]
         actions.append(action)
         zs.append(state.z)
-        observations.append(render_one(world, task, state.z, state.distractors, rng))
+        observations.append(frame(state, noise[i, n_dist:]))
     return np.array(observations), np.array(actions), np.array(zs)
+
+
+def assert_same_trajectories(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.instruction == b.instruction
+        for name in ("observations", "actions", "progression"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 class TestInstructions:
@@ -214,7 +257,7 @@ class TestGeneration:
 
     def test_lock_step_groups_bound_transient_memory(self, world, monkeypatch):
         # beyond the returned arrays, generation holds one group's step rows
-        # at a time; one lock step over all trajectories holds them all
+        # at a time; one group of all trajectories holds them all
         count = 4 * world_module._LOCK_STEP_GROUP
 
         def transient_bytes():
@@ -227,7 +270,7 @@ class TestGeneration:
             return peak - sum(a.nbytes for t in out for a in (t.observations, t.actions, t.progression))
 
         assert transient_bytes() < 6e6
-        monkeypatch.setattr(world_module, "_LOCK_STEP_GROUP", 10**9)
+        monkeypatch.setattr(world_module, "_LOCK_STEP_GROUP", count)
         assert transient_bytes() > 6e6
 
     @pytest.mark.parametrize(
@@ -238,20 +281,33 @@ class TestGeneration:
     )
     def test_matches_one_frame_at_a_time_bit_for_bit(self, config):
         world = World(config)
-        # the last count crosses two lock-step group boundaries
-        for seed, count in ((0, 12), (1, 12), (9, 2 * world_module._LOCK_STEP_GROUP + 3)):
-            children = np.random.SeedSequence([seed, 0xDA7A]).spawn(count)
-            rngs = [np.random.default_rng(child) for child in children]
-            want = [expert_one_frame_at_a_time(world, int(rng.integers(0, config.n_tasks)), rng) for rng in rngs]
-            children = np.random.SeedSequence([seed, 0xDE40]).spawn(2 * config.n_tasks)
-            want += [expert_one_frame_at_a_time(world, i % config.n_tasks, np.random.default_rng(child))
-                     for i, child in enumerate(children)]
+        width = world_module._LOCK_STEP_GROUP
+        # the last count crosses two lock-step block boundaries
+        for seed, count in ((0, 12), (1, 12), (9, 2 * width + 3)):
+            want = []
+            children = np.random.SeedSequence([seed, 0xDA7A]).spawn(-(-count // width))
+            for lo, child in zip(range(0, count, width), children):
+                draws = block_draws(world, np.random.default_rng(child))
+                want += [expert_one_frame_at_a_time(world, draws, i) for i in range(min(width, count - lo))]
+            [child] = np.random.SeedSequence([seed, 0xDE40]).spawn(1)
+            draws = block_draws(world, np.random.default_rng(child), np.arange(width) % config.n_tasks)
+            want += [expert_one_frame_at_a_time(world, draws, i) for i in range(2 * config.n_tasks)]
             got = world.generate(count, seed=seed) + world.generate_demos(2, seed=seed)
             assert len(got) == len(want)
             for traj, (observations, actions, zs) in zip(got, want):
                 assert traj.observations.tobytes() == observations.tobytes()
                 assert traj.actions.tobytes() == actions.tobytes()
                 assert traj.progression.tobytes() == zs.tobytes()
+
+    def test_prefix_of_a_longer_run_is_the_shorter_run(self, world):
+        # counts on both sides of the first and the second block boundary
+        longer = world.generate(700, seed=22)
+        for k in (200, 300):
+            assert_same_trajectories(longer[:k], world.generate(k, seed=22))
+        n_tasks = world.config.n_tasks
+        longer = world.generate_demos(90, seed=22)
+        for per_task in (25, 40):
+            assert_same_trajectories(longer[: per_task * n_tasks], world.generate_demos(per_task, seed=22))
 
     def test_balanced_demos(self, world):
         demos = world.generate_demos(3, seed=15)
