@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import analysis, imitation, planning
 from .errors import SegnceError, EmptyInputError, NumericalError
@@ -180,6 +179,8 @@ def _run_train(cfg: dict) -> tuple[list, list]:
 
 
 def _run_sampling_stats(cfg: dict) -> tuple[list, list]:
+    from scipy import stats as sstats  # here, not at module scope: no other subcommand loads scipy
+
     h, samples = cfg["h"], cfg["samples"]
     if h < 2:
         raise EmptyInputError(f"need h >= 2, got {h}")
@@ -451,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    level = logging.WARNING if args.quiet else (logging.DEBUG if args.verbose else logging.INFO)
-    logging.basicConfig(level=level, format="%(message)s")
+    # set on every call: basicConfig does nothing once the root logger has a handler
+    log.setLevel(logging.WARNING if args.quiet else (logging.DEBUG if args.verbose else logging.INFO))
+    logging.basicConfig(format="%(message)s")
 
     try:
         if args.subcommand == "replay":

@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import embed_frames, embed_instructions, frame_similarity
 from .encoders import Instruction
-from .errors import EmptyInputError, ShapeMismatchError, check_number
+from .errors import EmptyInputError, NumericalError, ShapeMismatchError, check_number
 from .training import Checkpoint
 from .world import STEP_GAIN, LatentState, World
 
@@ -100,8 +100,13 @@ def normalize_returns(returns: np.ndarray) -> np.ndarray:
 
 
 def mppi_weights(normalized_returns: np.ndarray, temperature: float) -> np.ndarray:
-    scaled = np.asarray(normalized_returns, dtype=np.float64) / temperature
-    scaled = scaled - scaled.max()
+    """Softmax of ``normalized_returns / temperature``; a temperature small
+    enough to make that quotient overflow raises :class:`NumericalError`."""
+    with np.errstate(over="ignore"):
+        scaled = np.asarray(normalized_returns, dtype=np.float64) / temperature
+        if not np.isfinite(scaled).all():
+            raise NumericalError(f"planner temperature {temperature!r} makes the scaled returns non-finite")
+        scaled = scaled - scaled.max()  # may round to -inf, whose weight is 0
     w = np.exp(scaled)
     return w / w.sum()
 

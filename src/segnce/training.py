@@ -93,12 +93,15 @@ class _Arena:
     same slice of every row. Every leaf's ``value`` and ``grad`` become views
     of its slices of the first two rows, so an update is one set of ufunc
     calls over whole rows; elementwise, each entry gets the arithmetic of a
-    per-leaf update, bit for bit."""
+    per-leaf update, bit for bit. The value and gradient rows are one array
+    and the optimizer's rows another, so a trained model keeps only the
+    first alive."""
 
     def __init__(self, leaves: Sequence[Tensor], rows: int):
         self.leaves = list(leaves)
         bounds = np.cumsum([0, *(leaf.value.size for leaf in self.leaves)])
-        self.rows = tuple(np.zeros((rows, int(bounds[-1]))))
+        width = int(bounds[-1])
+        self.rows = (*np.zeros((2, width)), *np.zeros((rows - 2, width)))
         self.views = [[row[lo:hi].reshape(leaf.value.shape) for row in self.rows]
                       for leaf, lo, hi in zip(self.leaves, bounds[:-1], bounds[1:])]
         self.sync()

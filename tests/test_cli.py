@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line surface and manifest replay."""
 
+import contextlib
 import json
+import logging
 import shlex
 import struct
 from pathlib import Path
@@ -98,6 +100,32 @@ class TestTrain:
     def test_bad_objective_usage_error(self, workdir, dataset_path):
         with pytest.raises(SystemExit):
             main(["train", "--data", str(dataset_path), "--objective", "bogus", "--out", str(workdir / "y.ckpt")])
+
+
+@contextlib.contextmanager
+def _root_logger_without_handlers():
+    """The root logger as a fresh process has it, so that ``main``'s
+    ``basicConfig`` writes to the stderr that capsys captures; the test
+    runner's own handlers and both levels come back afterwards."""
+    root, segnce_log = logging.getLogger(), logging.getLogger("segnce")
+    handlers, root_level, segnce_level = root.handlers, root.level, segnce_log.level
+    root.handlers = []
+    try:
+        yield
+    finally:
+        root.handlers = handlers
+        root.setLevel(root_level)
+        segnce_log.setLevel(segnce_level)
+
+
+@pytest.mark.parametrize("quiet_first", [True, False])
+def test_each_call_logs_at_its_own_verbosity(tmp_path, capsys, quiet_first):
+    args = ["gen-world", "--out", str(tmp_path / "w.bin"), "--count", "1"]
+    with _root_logger_without_handlers():
+        for quiet in (quiet_first, not quiet_first):
+            assert main([*args, "--quiet"] if quiet else args) == 0
+            err = capsys.readouterr().err
+            assert (err == "") if quiet else ("manifest: " in err)
 
 
 class TestSamplingStats:
@@ -371,6 +399,9 @@ MALFORMED_INPUTS = {
     "gen-world-noise-negative": _cli("gen-world", "--noise", "-1", "--out", "{tmp}/g.bin"),
     "plan-noise-scale-negative": _cli("plan", "--ckpt", "{ckpt}", "--noise-scale", "-1", "--out", "{tmp}/p.json"),
     "plan-temperature-nan": _cli("plan", "--ckpt", "{ckpt}", "--temperature", "nan", "--out", "{tmp}/p.json"),
+    "plan-temperature-tiny": _cli("plan", "--ckpt", "{ckpt}", "--episodes", "1", "--iterations", "1",
+                                  "--sequences", "2", "--horizon", "1", "--temperature", "1e-320",
+                                  "--out", "{tmp}/p.json"),
     "plan-task-pairs-mismatch": _cli("plan", "--ckpt", "{ckpt}", "--task-pairs", "2", "--out", "{tmp}/p.json"),
     "plan-d-obs-mismatch": _cli("plan", "--ckpt", "{ckpt}", "--d-obs", "16", "--out", "{tmp}/p.json"),
     "data-other-world": _heatmap_data(_other_world_data),
@@ -396,6 +427,7 @@ MALFORMED_MESSAGES = {
     "gen-world-noise-negative": "noise",
     "plan-noise-scale-negative": "noise_scale",
     "plan-temperature-nan": "temperature",
+    "plan-temperature-tiny": "temperature 1e-320",
     "plan-task-pairs-mismatch": "--task-pairs",
     "plan-d-obs-mismatch": "--d-obs",
     "data-other-world": "three-pairs.bin",

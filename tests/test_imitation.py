@@ -7,6 +7,7 @@ from segnce.analysis import embed_frames, embed_instructions
 from segnce.autodiff import init_mlp, mlp_apply
 from segnce.encoders import Instruction
 from segnce.errors import CheckpointFormatError, EmptyInputError, TrainingDivergedError
+from segnce import imitation
 from segnce.imitation import (
     BcConfig,
     _closed_loop_successes,
@@ -24,7 +25,7 @@ from segnce.training import Adam, TrainConfig, save_checkpoint, train, write_arr
 from segnce.world import SCENE_DRIFT, WALK_SIGMA, World, WorldConfig
 
 from conftest import reference_mlp, render_one
-from test_training import ReferenceAdam
+from test_training import ReferenceAdam, assert_owns_only_its_weights
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,18 @@ def test_train_bc_matches_per_leaf_reference_adam_bit_for_bit(tiny_ckpt, demos):
     assert policy.loss_history.tobytes() == np.array(history).tobytes()
     for got, want in zip(policy.mlp.leaves(), leaves):
         assert got.value.tobytes() == want.value.tobytes()
+
+
+def test_trained_policy_owns_only_its_weights(tiny_ckpt, demos, monkeypatch):
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(Adam(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(imitation, "Adam", recording)
+    policy = train_bc(tiny_ckpt, demos, BcConfig(hidden=(16,), steps=3, seed=0))
+    assert_owns_only_its_weights(policy.mlp.leaves(), made[0])
 
 
 def test_train_bc_matches_per_layer_composite_graph_bit_for_bit(tiny_ckpt, demos):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from segnce.errors import EmptyInputError, ShapeMismatchError
+from segnce.errors import EmptyInputError, NumericalError, ShapeMismatchError
 from segnce.objectives import ObjectiveSpec
 from segnce.planning import (
     PlannerConfig,
@@ -73,6 +73,23 @@ class TestNormalizeAndWeights:
         returns = rng.normal(size=16)
         out = weighted_average(proposals, returns, temperature=1e9)
         np.testing.assert_allclose(out, proposals.mean(axis=0), atol=1e-8)
+
+    @pytest.mark.parametrize("temperature", [1e-3, 1.0, 10.0, 1e9])
+    def test_weights_are_the_plain_softmax_bit_for_bit(self, temperature):
+        normalized = normalize_returns(np.random.default_rng(5).normal(size=64))
+        scaled = normalized / temperature
+        w = np.exp(scaled - scaled.max())
+        assert mppi_weights(normalized, temperature).tobytes() == (w / w.sum()).tobytes()
+
+    def test_overflowing_temperature_raises_naming_it(self):
+        # 1 / 1e-320 overflows; the warning filter turns any RuntimeWarning into a failure
+        with pytest.raises(NumericalError, match="temperature 1e-320"):
+            mppi_weights(np.array([1.0, -1.0]), 1e-320)
+
+    def test_spread_past_the_float_range_gives_zero_weight(self):
+        # both quotients are finite, but their difference overflows to -inf
+        w = mppi_weights(np.array([1.0, -1.0]), 1e-308)
+        np.testing.assert_array_equal(w, [1.0, 0.0])
 
     def test_output_in_convex_hull(self):
         rng = np.random.default_rng(3)

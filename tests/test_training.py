@@ -172,6 +172,35 @@ class TestAllocation:
         assert self._peak_bytes(forward_backward) < 1024 * 1024
 
 
+def _buffer_owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns ``array``'s memory, which a view keeps alive."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def assert_owns_only_its_weights(leaves, optimizer):
+    """No leaf value or gradient keeps the buffer of the optimizer's moment
+    or scratch rows alive (the rows after values and gradients)."""
+    state = optimizer._arena.rows[2:]
+    for leaf in leaves:
+        for array in (leaf.value, leaf.grad):
+            assert not any(np.shares_memory(_buffer_owner(array), row) for row in state)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_trained_model_owns_only_its_weights(small_dataset, monkeypatch, optimizer):
+    make, made = training.make_optimizer, []
+
+    def recording(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(training, "make_optimizer", recording)
+    ckpt = train(small_config(optimizer=optimizer, iterations=3), small_dataset)
+    assert_owns_only_its_weights(ckpt.encoders.leaves(), made[0])
+
+
 class TestTrainLoop:
     def test_zero_learning_rate_keeps_parameters(self, small_dataset):
         ckpt = train(small_config(learning_rate=0.0), small_dataset)
