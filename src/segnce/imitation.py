@@ -97,13 +97,15 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
                 f"(seed {config.seed}, learning_rate {config.learning_rate!r})"
             )
         loss.backward()
-        grad_norm = _grad_norm(leaves)
+        grad_norm = _grad_norm(optimizer)
         if not math.isfinite(grad_norm):
             raise TrainingDivergedError(
                 step, f"non-finite behavior-cloning gradient norm {grad_norm} at step {step} "
                 f"(seed {config.seed}, learning_rate {config.learning_rate!r})"
             )
         optimizer.step()
+    for leaf in leaves:  # no consumer reads a trained policy's gradients
+        leaf.grad = None
     return PolicyParams(mlp=mlp, config=config, loss_history=history)
 
 

@@ -13,6 +13,9 @@ then raw little-endian float64 buffers. Round trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import hashlib
 import json
 import math
 import os
@@ -91,17 +94,15 @@ class _Arena:
     """One flat float64 arena over all ``leaves``: one row per quantity
     (values, gradients, then the optimizer's own state), each leaf owning the
     same slice of every row. Every leaf's ``value`` and ``grad`` become views
-    of its slices of the first two rows, so an update is one set of ufunc
-    calls over whole rows; elementwise, each entry gets the arithmetic of a
-    per-leaf update, bit for bit. The value and gradient rows are one array
-    and the optimizer's rows another, so a trained model keeps only the
-    first alive."""
+    of its slices of the first two rows, so an update is one pass over whole
+    rows; elementwise, each entry gets the arithmetic of a per-leaf update,
+    bit for bit. Each row is its own array, so a trained model whose leaves
+    drop their gradients keeps only the value row alive."""
 
     def __init__(self, leaves: Sequence[Tensor], rows: int):
         self.leaves = list(leaves)
         bounds = np.cumsum([0, *(leaf.value.size for leaf in self.leaves)])
-        width = int(bounds[-1])
-        self.rows = (*np.zeros((2, width)), *np.zeros((rows - 2, width)))
+        self.rows = tuple(np.zeros(int(bounds[-1])) for _ in range(rows))
         self.views = [[row[lo:hi].reshape(leaf.value.shape) for row in self.rows]
                       for leaf, lo, hi in zip(self.leaves, bounds[:-1], bounds[1:])]
         self.sync()
@@ -136,13 +137,76 @@ class Sgd:
         w -= np.multiply(self.lr, g, out=s)
 
 
+# One Adam step in one pass: per entry, the arithmetic of Adam.step's numpy
+# passes in their order. -O3 vectorizes the loop (GCC 12 leaves it scalar at
+# -O2), -fno-math-errno lets sqrt vectorize, and -ffp-contract=off rounds
+# every product and sum on its own, with no FMA. Never -ffast-math or -Ofast:
+# they reorder and flush denormals.
+_ADAM_SOURCE = r"""
+#include <math.h>
+#include <stddef.h>
+
+void adam_step(size_t n, double *restrict w, const double *restrict g, double *restrict m,
+               double *restrict v, double b1, double b2, double c1, double c2, double lr,
+               double eps, double wd)
+{
+    const double a1 = 1 - b1, a2 = 1 - b2;
+    for (size_t i = 0; i < n; i++) {
+        double gi = g[i];
+        if (wd != 0.0)
+            gi = gi + wd * w[i];
+        const double mi = m[i] * b1 + a1 * gi;
+        const double vi = v[i] * b2 + (a2 * gi) * gi;
+        m[i] = mi;
+        v[i] = vi;
+        w[i] = w[i] - (mi / c1) * lr / (sqrt(vi / c2) + eps);
+    }
+}
+"""
+_ADAM_COMMAND = ("cc", "-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC", "-x", "c", "-")
+
+
+def _load_adam_kernel():
+    """The compiled ``adam_step``, built on first import into this package's
+    ``__pycache__`` under a digest of its source and compiler command, or
+    ``None`` where no compiler runs or the cache cannot be written; Adam then
+    takes its numpy passes. A build writes a per-process temporary file and
+    renames it, so a concurrent import never loads a half-written library."""
+    digest = hashlib.sha256(repr((_ADAM_SOURCE, _ADAM_COMMAND)).encode()).hexdigest()[:16]
+    path = Path(__file__).with_name("__pycache__") / f"adam_step.{digest}.so"
+    if not path.exists():
+        import subprocess  # only a build needs it
+
+        temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            path.parent.mkdir(exist_ok=True)
+            subprocess.run([*_ADAM_COMMAND, "-o", str(temporary)], input=_ADAM_SOURCE.encode(),
+                           capture_output=True, check=True, timeout=120)
+            os.replace(temporary, path)
+        except (OSError, subprocess.SubprocessError):
+            with contextlib.suppress(OSError):
+                temporary.unlink(missing_ok=True)
+            return None
+    try:
+        kernel = ctypes.CDLL(str(path)).adam_step
+    except OSError:
+        return None
+    kernel.argtypes = (ctypes.c_size_t, *[ctypes.c_void_p] * 4, *[ctypes.c_double] * 7)
+    kernel.restype = None
+    return kernel
+
+
+_adam_kernel = _load_adam_kernel()
+
+
 class Adam:
     """Adam with L2 coupled into the gradient (not decoupled decay).
 
-    Values, gradients, both moments and two scratch rows live in one arena,
-    so a step is one set of in-place ufunc calls over it and allocates no
-    parameter-sized array; ``m`` and ``v`` hold each leaf's moment views.
-    The arithmetic runs in the order of the textbook expressions, so results
+    Values, gradients, both moments and two scratch rows live in one arena;
+    ``m`` and ``v`` hold each leaf's moment views. A step is one call of the
+    compiled ``adam_step`` over the rows, or, where none could be built, one
+    set of in-place ufunc calls that allocates no parameter-sized array. Both
+    run the arithmetic in the order of the textbook expressions, so results
     are bit for bit those of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``
     and ``w -= lr * (m/c1) / (sqrt(v/c2) + eps)``.
     """
@@ -157,6 +221,7 @@ class Adam:
         self.t = 0
         self.m = [views[2] for views in self._arena.views]
         self.v = [views[3] for views in self._arena.views]
+        self._addresses = [row.ctypes.data for row in self._arena.rows[:4]]
 
     def step(self):
         self._arena.sync()
@@ -164,6 +229,9 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         w, g, m, v, s, u = self._arena.rows
+        if _adam_kernel is not None:
+            _adam_kernel(w.size, *self._addresses, b1, b2, c1, c2, self.lr, self.eps, self.weight_decay)
+            return
         if self.weight_decay:
             g = np.add(g, np.multiply(self.weight_decay, w, out=s), out=s)
         m *= b1
@@ -194,10 +262,15 @@ def make_optimizer(config: TrainConfig, leaves: Sequence[Tensor]):
     )
 
 
-def _grad_norm(leaves: Sequence[Tensor]) -> float:
-    """Euclidean norm of all leaf gradients: one dot per leaf, so no
-    parameter-sized temporary."""
-    return math.sqrt(sum(float(np.vdot(leaf.grad, leaf.grad)) for leaf in leaves))
+def _grad_norm(optimizer) -> float:
+    """Euclidean norm of the optimizer's leaf gradients. The gradient row is
+    squared into its last (scratch) row and each leaf's slice summed in that
+    leaf's shape: the bits of ``sum((g * g).sum())`` over the leaves, which no
+    BLAS thread count changes, with no parameter-sized temporary."""
+    arena = optimizer._arena
+    arena.sync()
+    np.multiply(arena.rows[1], arena.rows[1], out=arena.rows[-1])
+    return math.sqrt(sum(float(views[-1].sum()) for views in arena.views))
 
 
 def batch_embeddings(embed, observations: np.ndarray, rows: np.ndarray) -> list[Tensor]:
@@ -278,7 +351,7 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(it, f"non-finite loss {loss_value} {where}")
         loss.backward()
-        grad_norm = _grad_norm(leaves)
+        grad_norm = _grad_norm(optimizer)
         if not np.isfinite(grad_norm):
             raise TrainingDivergedError(it, f"non-finite gradient norm {grad_norm} {where}")
         optimizer.step()
@@ -290,6 +363,8 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
             and (it + 1) < config.iterations
         ):
             save_checkpoint(snapshot(it + 1), checkpoint_path)
+    for leaf in leaves:  # no consumer reads a trained model's gradients
+        leaf.grad = None
     return snapshot(config.iterations)
 
 

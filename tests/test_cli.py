@@ -3,8 +3,11 @@
 import contextlib
 import json
 import logging
+import os
 import shlex
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from segnce.cli import REQUIRED, _DEFAULTS, _OPTIONS, _check_config, _resolve, b
 from segnce.errors import EmptyInputError, SegnceError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args):
@@ -469,6 +473,50 @@ def test_every_json_output_is_strict_json(tmp_path):
         json.loads(path.read_text(), parse_constant=_reject_constant)
     rates = json.loads((tmp_path / "plan.json").read_text())["per_instruction"]
     assert list(rates.values()).count(None) == 6
+
+
+# every subcommand, on relative paths so that two working directories get
+# byte-equal manifests; the checkpoints have the default 128-wide vision
+# layers, whose gradients are long enough for a threaded BLAS dot
+PIPELINE = [
+    ["gen-world", "--out", "data.bin", "--count", "40", "--h-min", "10", "--h-max", "16"],
+    ["train", "--data", "data.bin", "--out", "t.ckpt", "--iterations", "60", "--batch-size", "16",
+     "--ckpt-interval", "20"],
+    ["train", "--data", "data.bin", "--objective", "t8", "--out", "t8.ckpt", "--iterations", "40",
+     "--batch-size", "16", "--weight-decay", "0.01"],
+    ["sampling-stats", "--h", "8", "--samples", "20000", "--out", "stats.csv"],
+    ["reward-curve", "--ckpt", "t.ckpt", "--data", "data.bin", "--out", "curve.csv"],
+    ["heatmap", "--ckpt", "t8.ckpt", "--data", "data.bin", "--lengths", "2,5", "--out", "heatmap.csv"],
+    ["first-image-stats", "--ckpt", "t.ckpt", "--data", "data.bin", "--out", "first.json"],
+    ["plan", "--ckpt", "t.ckpt", "--episodes", "2", "--iterations", "2", "--out", "plan.json"],
+    ["eval-lcbc", "--ckpt", "t.ckpt", "--demos", "data.bin", "--steps", "30", "--episodes", "1",
+     "--policy-out", "policy.bin", "--out", "lcbc.json"],
+    ["replay", "--manifest", "t.ckpt.manifest.json"],
+]
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """One process at one OpenBLAS thread and one at two run every
+    subcommand; they write the same files, byte for byte."""
+    script = ("import json, sys\nfrom segnce.cli import main\n"
+              "for args in json.loads(sys.argv[1]):\n    assert main([*args, '--quiet']) == 0, args\n")
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        runs.append((cwd, subprocess.Popen([sys.executable, "-c", script, json.dumps(PIPELINE)], cwd=cwd, env=env,
+                                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)))
+    for _, process in runs:
+        _, stderr = process.communicate(timeout=300)
+        assert process.returncode == 0, stderr
+    (one, _), (two, _) = runs
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in two.iterdir())
+    assert len(names) == 21  # 12 outputs and 9 manifests
+    differing = [n for n in names if (one / n).read_bytes() != (two / n).read_bytes()]
+    assert differing == []
 
 
 # ---- the option table -------------------------------------------------------------------

@@ -25,7 +25,7 @@ from segnce.training import Adam, TrainConfig, save_checkpoint, train, write_arr
 from segnce.world import SCENE_DRIFT, WALK_SIGMA, World, WorldConfig
 
 from conftest import reference_mlp, render_one
-from test_training import ReferenceAdam, assert_owns_only_its_weights
+from test_training import ReferenceAdam, assert_owns_only_its_weights, on_both_adam_paths
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,13 @@ def test_train_bc_matches_per_leaf_reference_adam_bit_for_bit(tiny_ckpt, demos):
     assert policy.loss_history.tobytes() == np.array(history).tobytes()
     for got, want in zip(policy.mlp.leaves(), leaves):
         assert got.value.tobytes() == want.value.tobytes()
+
+
+def test_adam_paths_train_bc_bit_for_bit_alike(tiny_ckpt, demos):
+    kernel_policy, numpy_policy = on_both_adam_paths(lambda: train_bc(tiny_ckpt, demos, BcConfig(steps=60, seed=2)))
+    assert kernel_policy.loss_history.tobytes() == numpy_policy.loss_history.tobytes()
+    for a, b in zip(kernel_policy.mlp.leaves(), numpy_policy.mlp.leaves()):
+        assert a.value.tobytes() == b.value.tobytes()
 
 
 def test_trained_policy_owns_only_its_weights(tiny_ckpt, demos, monkeypatch):

@@ -1,9 +1,12 @@
 """The package's public surface."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import segnce
 
@@ -16,8 +19,8 @@ def test_every_exported_name_resolves():
     assert len(set(segnce.__all__)) == len(segnce.__all__)
 
 
-def _fresh_python(*args):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+def _fresh_python(*args, src=SRC, **env):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -28,3 +31,52 @@ def test_import_loads_no_scipy():
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert _fresh_python("-m", "segnce", "--help").returncode == 0
+
+
+# 300 Adam steps with weight decay; prints whether the compiled kernel was
+# loaded, then the sha256 of the final values and moments
+ADAM_PROBE = """
+import hashlib, sys
+import numpy as np
+from segnce import training
+from segnce.autodiff import Tensor
+rng = np.random.default_rng(0)
+leaves = [Tensor(rng.normal(size=shape)) for shape in [(64, 33), (64,), (3,)]]
+opt = training.Adam(leaves, 0.01, weight_decay=0.01)
+for _ in range(300):
+    for leaf in leaves:
+        leaf.grad = rng.normal(size=leaf.value.shape)
+    opt.step()
+rows = b"".join(row.tobytes() for row in opt._arena.rows[:4])
+print(training._adam_kernel is not None, hashlib.sha256(rows).hexdigest())
+"""
+
+
+def test_adam_kernel_cold_failed_and_cached_builds(tmp_path):
+    """A copy of the package starts with an empty ``__pycache__``. Without a
+    compiler on ``PATH`` Adam takes its numpy passes, quietly and leaving no
+    file behind; with one, the first import builds the kernel, the same bits
+    come out, and a cached import never loads ``subprocess``."""
+    shutil.copytree(Path(SRC) / "segnce", tmp_path / "segnce", ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "segnce" / "__pycache__"
+    no_compiler = tmp_path / "empty"
+    no_compiler.mkdir()
+
+    fallback = _fresh_python("-c", ADAM_PROBE, src=str(tmp_path), PATH=str(no_compiler))
+    assert fallback.returncode == 0 and fallback.stderr == "", fallback.stderr
+    loaded, fallback_bits = fallback.stdout.split()
+    assert loaded == "False"
+    assert not list(cache.glob("adam_step*"))
+
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH to build the kernel with")
+    built = _fresh_python("-c", ADAM_PROBE, src=str(tmp_path))
+    assert built.returncode == 0 and built.stderr == "", built.stderr
+    assert built.stdout.split() == ["True", fallback_bits]
+    assert [p.suffix for p in cache.glob("adam_step*")] == [".so"]
+
+    cached = _fresh_python("-c", "import sys, segnce, segnce.cli; from segnce import training; "
+                                 "print(training._adam_kernel is not None, 'subprocess' in sys.modules)",
+                           src=str(tmp_path))
+    assert cached.returncode == 0, cached.stderr
+    assert cached.stdout.split() == ["True", "False"]

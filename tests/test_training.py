@@ -113,23 +113,60 @@ class ReferenceAdam:
             self.values[i] = self.values[i] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def _adam_run(shapes, steps, weight_decay, kernel):
+    """Adam on leaves of ``shapes`` over ``steps`` seeded gradients, on the
+    given step path (``None``: the numpy passes); the final values and
+    moments, and the textbook reference's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_adam_kernel", kernel)
+        rng = np.random.default_rng(4)
+        leaves = [Tensor(rng.normal(size=shape)) for shape in shapes]
+        reference = ReferenceAdam([leaf.value.copy() for leaf in leaves], 0.01, weight_decay=weight_decay)
+        opt = Adam(leaves, 0.01, weight_decay=weight_decay)
+        for _ in range(steps):
+            grads = [rng.normal(size=shape) for shape in shapes]
+            for leaf, g in zip(leaves, grads):
+                leaf.grad = g
+            opt.step()
+            reference.step(grads)
+        return [leaf.value for leaf in leaves], opt.m, opt.v, reference
+
+
+BC_SHAPES = [(256, 65), (256,), (256, 256), (256,), (2, 256), (2,)]  # the policy MLP [65, 256, 256, 2]
+
+
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_in_place_adam_matches_reference_bit_for_bit(weight_decay):
-    rng = np.random.default_rng(4)
-    shapes = [(7, 5), (5,), (), (3, 2, 4), (1,)]
-    leaves = [Tensor(rng.normal(size=shape)) for shape in shapes]
-    reference = ReferenceAdam([leaf.value.copy() for leaf in leaves], 0.01, weight_decay=weight_decay)
-    opt = Adam(leaves, 0.01, weight_decay=weight_decay)
-    for _ in range(50):
-        grads = [rng.normal(size=shape) for shape in shapes]
-        for leaf, g in zip(leaves, grads):
-            leaf.grad = g
-        opt.step()
-        reference.step(grads)
-    for i, leaf in enumerate(leaves):
-        assert np.array_equal(leaf.value, reference.values[i])
-        assert np.array_equal(opt.m[i], reference.m[i])
-        assert np.array_equal(opt.v[i], reference.v[i])
+    """Both step paths, the compiled kernel (where one was built) and the
+    numpy passes, on a small arena and on a behavior-cloning-sized one over
+    400 steps: past step ~350, where ``1 - 0.9**t`` rounds to 1."""
+    for shapes, steps in (([(7, 5), (5,), (), (3, 2, 4), (1,)], 50), (BC_SHAPES, 400)):
+        for kernel in (training._adam_kernel, None):
+            values, m, v, reference = _adam_run(shapes, steps, weight_decay, kernel)
+            for i in range(len(shapes)):
+                assert np.array_equal(values[i], reference.values[i])
+                assert np.array_equal(m[i], reference.m[i])
+                assert np.array_equal(v[i], reference.v[i])
+
+
+def on_both_adam_paths(run):
+    """``run()``'s result with the loaded Adam kernel, then on the numpy passes."""
+    kernel_result = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_adam_kernel", None)
+        return kernel_result, run()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_adam_paths_train_bit_for_bit_alike(small_dataset, variant):
+    """Whole runs, with and without weight decay: the same loss and gradient
+    norm histories and the same weights on either Adam step path."""
+    for weight_decay in (0.0, 0.01):
+        config = small_config(objective=ObjectiveSpec(variant=variant), weight_decay=weight_decay)
+        kernel_run, numpy_run = on_both_adam_paths(lambda: train(config, small_dataset))
+        assert kernel_run.history.tobytes() == numpy_run.history.tobytes()
+        for a, b in zip(kernel_run.encoders.leaves(), numpy_run.encoders.leaves()):
+            assert a.value.tobytes() == b.value.tobytes()
 
 
 class TestAllocation:
@@ -180,12 +217,12 @@ def _buffer_owner(array: np.ndarray) -> np.ndarray:
 
 
 def assert_owns_only_its_weights(leaves, optimizer):
-    """No leaf value or gradient keeps the buffer of the optimizer's moment
-    or scratch rows alive (the rows after values and gradients)."""
-    state = optimizer._arena.rows[2:]
+    """The trained leaves hold no gradient, and no leaf value keeps the
+    buffer of any arena row but the value row alive (gradients, moments,
+    scratch)."""
     for leaf in leaves:
-        for array in (leaf.value, leaf.grad):
-            assert not any(np.shares_memory(_buffer_owner(array), row) for row in state)
+        assert leaf.grad is None
+        assert not any(np.shares_memory(_buffer_owner(leaf.value), row) for row in optimizer._arena.rows[1:])
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
