@@ -415,6 +415,23 @@ def cosine_matrix(a, b) -> Tensor:
     return Tensor(an @ bn.T, (a, b), backward)
 
 
+def mse(pred, target) -> Tensor:
+    """Mean squared error of ``pred`` against a constant ``target``, as one
+    node. Value and ``pred`` gradient are bit for bit those of the composite
+    ``((pred - y) * (pred - y)).sum() * (1 / n)``; the target is lifted as
+    that graph lifts it, so a non-finite one raises :class:`NumericalError`."""
+    pred = Tensor._lift(pred)
+    err = pred.value - Tensor._lift(target).value
+    k = 1.0 / err.size
+
+    def backward(out):
+        t = (out.grad * k) * err
+        t += t  # the product node's two contributions, one per operand
+        pred._add_grad(t)
+
+    return Tensor((err * err).sum() * k, (pred,), backward)
+
+
 def logsumexp(xs, axis=None) -> Tensor:
     """Stable log(sum(exp(xs))) over all entries, or along ``axis``.
 

@@ -18,6 +18,7 @@ The parser, ``_DEFAULTS`` and the config type check are built from the rows.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -430,6 +431,7 @@ def replay_manifest(manifest_path, out_map: dict | None = None) -> Path:
 # ---- argument parsing -----------------------------------------------------------------
 
 
+@functools.cache  # built once per process (~3 ms); parsing never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segnce",

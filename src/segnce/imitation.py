@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import MlpParams, init_mlp, mlp_apply, no_grad
+from .autodiff import MlpParams, init_mlp, mlp_apply, mse, no_grad
 from .analysis import embed_frames, embed_instructions
 from .encoders import Instruction
 from .errors import CheckpointFormatError, EmptyInputError, NumericalError, TrainingDivergedError, check_number
@@ -75,7 +75,11 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
     """Minimize mean squared action error; the checkpoint's encoders stay frozen.
 
     Raises :class:`TrainingDivergedError` naming the step, the seed and the
-    learning rate at the first non-finite loss or gradient norm.
+    learning rate at the first non-finite loss or gradient norm. The norm is
+    only a finiteness gate, so it is computed after the update, and only when
+    the Adam step did not verify that no gradient entry can overflow it: the
+    step leaves the gradients as they were, and a raise discards the policy
+    it touched. :func:`training.train` records its norm, so it takes it first.
     """
     inputs, targets = featurize_demos(ckpt, demos)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBC]))
@@ -87,9 +91,7 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
     history = np.zeros(config.steps)
     for step in range(config.steps):
         idx = rng.integers(0, n, size=min(config.batch_size, n))
-        pred = mlp_apply(mlp, inputs[idx])
-        err = pred - targets[idx]
-        loss = (err * err).sum() * (1.0 / err.value.size)
+        loss = mse(mlp_apply(mlp, inputs[idx]), targets[idx])
         history[step] = float(loss.value)
         if not np.isfinite(history[step]):
             raise TrainingDivergedError(
@@ -97,13 +99,14 @@ def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) ->
                 f"(seed {config.seed}, learning_rate {config.learning_rate!r})"
             )
         loss.backward()
+        if optimizer.step():
+            continue
         grad_norm = _grad_norm(optimizer)
         if not math.isfinite(grad_norm):
             raise TrainingDivergedError(
                 step, f"non-finite behavior-cloning gradient norm {grad_norm} at step {step} "
                 f"(seed {config.seed}, learning_rate {config.learning_rate!r})"
             )
-        optimizer.step()
     for leaf in leaves:  # no consumer reads a trained policy's gradients
         leaf.grad = None
     return PolicyParams(mlp=mlp, config=config, loss_history=history)

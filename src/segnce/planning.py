@@ -6,7 +6,9 @@ latent dynamics, and scored with the per-step embedding reward: the change
 in frame/instruction cosine similarity. At gamma = 1 (the default) a
 return telescopes to sim(final frame) - sim(start frame), so only the start
 frame and each proposal's final frame are rendered and embedded: n + 1
-rows per iteration, not n * (horizon + 1). Returns are normalized across the
+rows per iteration, not n * (horizon + 1); the instruction is embedded once
+per plan, and the rollout is one compiled call where a compiler runs (see
+``training._load_kernels``). Returns are normalized across the
 proposal set, turned into softmax weights at the configured temperature,
 and the weighted average becomes the next nominal sequence. The final
 nominal sequence is executed open loop.
@@ -25,7 +27,7 @@ import numpy as np
 from .analysis import embed_frames, embed_instructions, frame_similarity
 from .encoders import Instruction
 from .errors import EmptyInputError, NumericalError, ShapeMismatchError, check_number
-from .training import Checkpoint
+from .training import Checkpoint, _roll_z_kernel
 from .world import STEP_GAIN, LatentState, World
 
 # Episodes start at a completion level uniform in [0, START_Z_JITTER).
@@ -51,11 +53,16 @@ class PlannerConfig:
 
 
 def _roll_z(world: World, task: int, z0: float, actions: np.ndarray) -> np.ndarray:
-    """Latent completion path (n, horizon+1) for a batch of action sequences."""
+    """Latent completion path (n, horizon+1) for a batch of action sequences:
+    one call of the compiled ``roll_z`` or, where none could be built, a
+    numpy step per time step; both give ``np.clip``'s bits."""
     acts = world.clamp_actions(np.asarray(actions, dtype=np.float64))
-    proj = acts @ world.direction(task)  # (n, horizon)
+    proj = np.ascontiguousarray(acts @ world.direction(task))  # (n, horizon)
     n, horizon = proj.shape
     zs = np.empty((n, horizon + 1))
+    if _roll_z_kernel is not None:
+        _roll_z_kernel(n, horizon, z0, STEP_GAIN, proj.ctypes.data, zs.ctypes.data)
+        return zs
     zs[:, 0] = z0
     z = np.full(n, z0)
     for t in range(horizon):
@@ -83,11 +90,17 @@ def embedding_returns(
     proposals = np.asarray(proposals, dtype=np.float64)
     if proposals.ndim != 3 or proposals.shape[2] != world.config.d_act:
         raise ShapeMismatchError(f"proposals must be (n, horizon, {world.config.d_act}), got {proposals.shape}")
+    return _returns(ckpt, world, start_state, embed_instructions(ckpt, [instruction])[0], proposals, gamma)
+
+
+def _returns(ckpt: Checkpoint, world: World, start_state: LatentState, psi: np.ndarray, proposals: np.ndarray,
+             gamma: float) -> np.ndarray:
+    """:func:`embedding_returns` against the instruction embedding ``psi``."""
     zs = _roll_z(world, start_state.task, start_state.z, proposals)
     if gamma == 1.0:
         zs = np.concatenate([[start_state.z], zs[:, -1]])
     obs = world.render_batch(start_state.task, zs.reshape(-1), start_state.distractors)
-    sim = frame_similarity(embed_frames(ckpt, obs), embed_instructions(ckpt, [instruction])[0]).reshape(zs.shape)
+    sim = frame_similarity(embed_frames(ckpt, obs), psi).reshape(zs.shape)
     if gamma == 1.0:
         return sim[1:] - sim[0]
     return np.sum(np.diff(sim, axis=1) * gamma ** np.arange(proposals.shape[1]), axis=1)
@@ -138,9 +151,12 @@ def plan(
     config: PlannerConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Optimize an action sequence against the embedding reward."""
+    """Optimize an action sequence against the embedding reward; the
+    instruction is embedded once, for every iteration."""
+    psi = embed_instructions(ckpt, [instruction])[0]
+
     def returns_fn(proposals: np.ndarray) -> np.ndarray:
-        return embedding_returns(ckpt, world, start_state, instruction, proposals, config.gamma)
+        return _returns(ckpt, world, start_state, psi, proposals, config.gamma)
 
     return _mppi(returns_fn, config, world.config.d_act, rng)
 

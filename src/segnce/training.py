@@ -137,22 +137,29 @@ class Sgd:
         w -= np.multiply(self.lr, g, out=s)
 
 
-# One Adam step in one pass: per entry, the arithmetic of Adam.step's numpy
-# passes in their order. -O3 vectorizes the loop (GCC 12 leaves it scalar at
-# -O2), -fno-math-errno lets sqrt vectorize, and -ffp-contract=off rounds
-# every product and sum on its own, with no FMA. Never -ffast-math or -Ofast:
-# they reorder and flush denormals.
-_ADAM_SOURCE = r"""
+# adam_step is one Adam step in one pass: per entry, the arithmetic of
+# Adam.step's numpy passes in their order. It returns whether every
+# |g| <= sqrt(DBL_MAX / 2n), under which no sum of the n squares overflows
+# (NaN fails), kept as a select: an integer |= left the loop scalar. roll_z
+# is planning._roll_z's clipped rollout with numpy's maximum and minimum
+# rules (NaN passes, a tie gives the bound). -O3 vectorizes adam_step (GCC 12
+# leaves it scalar at -O2), -fno-math-errno lets sqrt vectorize, and
+# -ffp-contract=off rounds every product and sum on its own, with no FMA.
+# Never -ffast-math or -Ofast: they reorder and flush denormals.
+_KERNEL_SOURCE = r"""
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 
-void adam_step(size_t n, double *restrict w, const double *restrict g, double *restrict m,
-               double *restrict v, double b1, double b2, double c1, double c2, double lr,
-               double eps, double wd)
+int adam_step(size_t n, double *restrict w, const double *restrict g, double *restrict m,
+              double *restrict v, double b1, double b2, double c1, double c2, double lr,
+              double eps, double wd)
 {
-    const double a1 = 1 - b1, a2 = 1 - b2;
+    const double a1 = 1 - b1, a2 = 1 - b2, bound = sqrt(DBL_MAX / (2.0 * n));
+    double big = 0.0;
     for (size_t i = 0; i < n; i++) {
         double gi = g[i];
+        big = (fabs(gi) <= bound) ? big : 1.0;
         if (wd != 0.0)
             gi = gi + wd * w[i];
         const double mi = m[i] * b1 + a1 * gi;
@@ -161,42 +168,62 @@ void adam_step(size_t n, double *restrict w, const double *restrict g, double *r
         v[i] = vi;
         w[i] = w[i] - (mi / c1) * lr / (sqrt(vi / c2) + eps);
     }
+    return big == 0.0;
+}
+
+void roll_z(size_t n, size_t horizon, double z0, double gain, const double *restrict proj,
+            double *restrict zs)
+{
+    for (size_t r = 0; r < n; r++, proj += horizon) {
+        double z = z0;
+        *zs++ = z;
+        for (size_t t = 0; t < horizon; t++) {
+            z = z + gain * proj[t];
+            z = (z > 0.0 || isnan(z)) ? z : 0.0;
+            z = (z < 1.0 || isnan(z)) ? z : 1.0;
+            *zs++ = z;
+        }
+    }
 }
 """
-_ADAM_COMMAND = ("cc", "-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC", "-x", "c", "-")
+_KERNEL_COMMAND = ("cc", "-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC", "-x", "c", "-")
 
 
-def _load_adam_kernel():
-    """The compiled ``adam_step``, built on first import into this package's
-    ``__pycache__`` under a digest of its source and compiler command, or
-    ``None`` where no compiler runs or the cache cannot be written; Adam then
-    takes its numpy passes. A build writes a per-process temporary file and
-    renames it, so a concurrent import never loads a half-written library."""
-    digest = hashlib.sha256(repr((_ADAM_SOURCE, _ADAM_COMMAND)).encode()).hexdigest()[:16]
-    path = Path(__file__).with_name("__pycache__") / f"adam_step.{digest}.so"
+def _load_kernels():
+    """The compiled ``adam_step`` and ``roll_z``, built on first import into
+    this package's ``__pycache__`` under a digest of their source and
+    compiler command, or ``(None, None)`` where no compiler runs or the cache
+    cannot be written; Adam and the planner then take their numpy passes. A
+    build writes a per-process temporary file and renames it, so a concurrent
+    import never loads a half-written library."""
+    digest = hashlib.sha256(repr((_KERNEL_SOURCE, _KERNEL_COMMAND)).encode()).hexdigest()[:16]
+    path = Path(__file__).with_name("__pycache__") / f"kernels.{digest}.so"
     if not path.exists():
         import subprocess  # only a build needs it
 
         temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             path.parent.mkdir(exist_ok=True)
-            subprocess.run([*_ADAM_COMMAND, "-o", str(temporary)], input=_ADAM_SOURCE.encode(),
+            subprocess.run([*_KERNEL_COMMAND, "-o", str(temporary)], input=_KERNEL_SOURCE.encode(),
                            capture_output=True, check=True, timeout=120)
             os.replace(temporary, path)
         except (OSError, subprocess.SubprocessError):
             with contextlib.suppress(OSError):
                 temporary.unlink(missing_ok=True)
-            return None
+            return None, None
     try:
-        kernel = ctypes.CDLL(str(path)).adam_step
+        library = ctypes.CDLL(str(path))
     except OSError:
-        return None
-    kernel.argtypes = (ctypes.c_size_t, *[ctypes.c_void_p] * 4, *[ctypes.c_double] * 7)
-    kernel.restype = None
-    return kernel
+        return None, None
+    library.adam_step.argtypes = (ctypes.c_size_t, *[ctypes.c_void_p] * 4, *[ctypes.c_double] * 7)
+    library.adam_step.restype = ctypes.c_int
+    library.roll_z.argtypes = (ctypes.c_size_t, ctypes.c_size_t, ctypes.c_double, ctypes.c_double,
+                               ctypes.c_void_p, ctypes.c_void_p)
+    library.roll_z.restype = None
+    return library.adam_step, library.roll_z
 
 
-_adam_kernel = _load_adam_kernel()
+_adam_kernel, _roll_z_kernel = _load_kernels()
 
 
 class Adam:
@@ -223,15 +250,18 @@ class Adam:
         self.v = [views[3] for views in self._arena.views]
         self._addresses = [row.ctypes.data for row in self._arena.rows[:4]]
 
-    def step(self):
+    def step(self) -> bool:
+        """One update; returns ``True`` only when the kernel verified that no
+        gradient entry can overflow the gradient norm (the numpy passes verify
+        nothing and return ``False``)."""
         self._arena.sync()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         w, g, m, v, s, u = self._arena.rows
         if _adam_kernel is not None:
-            _adam_kernel(w.size, *self._addresses, b1, b2, c1, c2, self.lr, self.eps, self.weight_decay)
-            return
+            return bool(_adam_kernel(w.size, *self._addresses, b1, b2, c1, c2, self.lr, self.eps,
+                                     self.weight_decay))
         if self.weight_decay:
             g = np.add(g, np.multiply(self.weight_decay, w, out=s), out=s)
         m *= b1
@@ -247,6 +277,7 @@ class Adam:
         u += self.eps
         s /= u
         w -= s
+        return False
 
 
 def make_optimizer(config: TrainConfig, leaves: Sequence[Tensor]):

@@ -4,7 +4,7 @@ from typing import Callable
 
 import numpy as np
 
-from segnce.autodiff import MlpParams, Tensor, as_array
+from segnce.autodiff import MlpParams, Tensor, as_array, no_grad
 from segnce.encoders import (
     EncoderConfig,
     Encoders,
@@ -44,17 +44,18 @@ def finite_difference_check(
     numeric = np.zeros_like(theta)
     flat = theta.reshape(-1)
     num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = f(Tensor(theta.copy()))
-        flat[i] = orig - step
-        lo = f(Tensor(theta.copy()))
-        flat[i] = orig
-        hi_v, lo_v = float(hi.value), float(lo.value)
-        if not (np.isfinite(hi_v) and np.isfinite(lo_v)):
-            raise NumericalError(f"non-finite value during finite differences at coordinate {i}")
-        num_flat[i] = (hi_v - lo_v) / (2.0 * step)
+    with no_grad():  # the perturbed forwards are only read, never differentiated
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = f(Tensor(theta.copy()))
+            flat[i] = orig - step
+            lo = f(Tensor(theta.copy()))
+            flat[i] = orig
+            hi_v, lo_v = float(hi.value), float(lo.value)
+            if not (np.isfinite(hi_v) and np.isfinite(lo_v)):
+                raise NumericalError(f"non-finite value during finite differences at coordinate {i}")
+            num_flat[i] = (hi_v - lo_v) / (2.0 * step)
 
     scale = max(float(np.max(np.abs(analytic), initial=0.0)),
                 float(np.max(np.abs(numeric), initial=0.0)), 1e-8)

@@ -13,6 +13,7 @@ from segnce.autodiff import (
     init_mlp,
     logsumexp,
     mlp_apply,
+    mse,
     no_grad,
     normalize_rows,
 )
@@ -332,6 +333,30 @@ class TestFusedCosineMatrix:
             frozen = cosine_matrix(a, b)
         assert not frozen.requires_grad and frozen._parents == () and frozen._backward is None
         assert_bits_equal(frozen.value, reference_cosine_matrix(a, b).value)
+
+
+class TestMseNode:
+    """``mse`` is one node whose value and ``pred`` gradient are, bit for bit,
+    those of the composite ``((pred - y) * (pred - y)).sum() * (1 / n)``."""
+
+    @pytest.mark.parametrize("batch", [1, 16, 917])
+    def test_matches_composite_bit_for_bit(self, batch):
+        rng = np.random.default_rng(batch)
+        for _ in range(10):  # where 1/n is inexact, a sum / n would differ in some draws
+            values, target = rng.normal(size=(batch, 2)), rng.normal(size=(batch, 2))
+            fused, composite = Tensor(values.copy()), Tensor(values.copy())
+            loss = mse(fused, target)
+            err = composite - target
+            reference = (err * err).sum() * (1.0 / err.value.size)
+            loss.backward()
+            reference.backward()
+            assert loss._parents == (fused,)
+            assert_bits_equal(loss.value, reference.value)
+            assert_bits_equal(fused.grad, composite.grad)
+
+    def test_non_finite_target_raises(self):
+        with pytest.raises(NumericalError):
+            mse(Tensor(np.zeros(3)), np.array([0.0, np.inf, 0.0]))
 
 
 class TestMlp:

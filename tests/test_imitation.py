@@ -7,7 +7,7 @@ from segnce.analysis import embed_frames, embed_instructions
 from segnce.autodiff import init_mlp, mlp_apply
 from segnce.encoders import Instruction
 from segnce.errors import CheckpointFormatError, EmptyInputError, TrainingDivergedError
-from segnce import imitation
+from segnce import imitation, training
 from segnce.imitation import (
     BcConfig,
     _closed_loop_successes,
@@ -21,7 +21,7 @@ from segnce.imitation import (
 from segnce.objectives import ObjectiveSpec
 from segnce.planning import execute_plan
 from segnce.sampling import Trajectory
-from segnce.training import Adam, TrainConfig, save_checkpoint, train, write_array_archive
+from segnce.training import Adam, TrainConfig, _grad_norm, save_checkpoint, train, write_array_archive
 from segnce.world import SCENE_DRIFT, WALK_SIGMA, World, WorldConfig
 
 from conftest import reference_mlp, render_one
@@ -114,10 +114,30 @@ def test_train_bc_matches_per_leaf_reference_adam_bit_for_bit(tiny_ckpt, demos):
 
 
 def test_adam_paths_train_bc_bit_for_bit_alike(tiny_ckpt, demos):
-    kernel_policy, numpy_policy = on_both_adam_paths(lambda: train_bc(tiny_ckpt, demos, BcConfig(steps=60, seed=2)))
-    assert kernel_policy.loss_history.tobytes() == numpy_policy.loss_history.tobytes()
-    for a, b in zip(kernel_policy.mlp.leaves(), numpy_policy.mlp.leaves()):
-        assert a.value.tobytes() == b.value.tobytes()
+    for batch_size in (1, 16, 64):
+        config = BcConfig(batch_size=batch_size, steps=60, seed=2)
+        kernel_policy, numpy_policy = on_both_adam_paths(lambda: train_bc(tiny_ckpt, demos, config))
+        assert kernel_policy.loss_history.tobytes() == numpy_policy.loss_history.tobytes()
+        for a, b in zip(kernel_policy.mlp.leaves(), numpy_policy.mlp.leaves()):
+            assert a.value.tobytes() == b.value.tobytes()
+
+
+def test_gradient_norm_only_on_steps_the_adam_kernel_does_not_verify(tiny_ckpt, demos, monkeypatch):
+    """The kernel's step verifies ordinary gradients, so ``train_bc`` computes
+    no norm; on the numpy passes it computes one after every step, and with
+    the kernel it computes one at the step whose gradient overflows."""
+    steps = []
+    monkeypatch.setattr(imitation, "_grad_norm", lambda opt: steps.append(opt.t) or _grad_norm(opt))
+    if training._adam_kernel is not None:
+        train_bc(tiny_ckpt, demos, BcConfig(steps=20, seed=2))
+        assert steps == []
+        with pytest.raises(TrainingDivergedError, match="gradient norm inf at step 1"):
+            train_bc(tiny_ckpt, demos, BcConfig(learning_rate=1e30, steps=30, seed=5))
+        assert steps == [2]
+        steps.clear()
+    monkeypatch.setattr(training, "_adam_kernel", None)
+    train_bc(tiny_ckpt, demos, BcConfig(steps=20, seed=2))
+    assert steps == list(range(1, 21))
 
 
 def test_trained_policy_owns_only_its_weights(tiny_ckpt, demos, monkeypatch):

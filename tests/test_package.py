@@ -33,13 +33,15 @@ def test_import_loads_no_scipy():
     assert _fresh_python("-m", "segnce", "--help").returncode == 0
 
 
-# 300 Adam steps with weight decay; prints whether the compiled kernel was
-# loaded, then the sha256 of the final values and moments
-ADAM_PROBE = """
+# 300 Adam steps with weight decay and one planner rollout; prints whether
+# each compiled kernel was loaded, then the sha256 of the final values and
+# moments and of the rollout
+KERNEL_PROBE = """
 import hashlib, sys
 import numpy as np
-from segnce import training
+from segnce import planning, training
 from segnce.autodiff import Tensor
+from segnce.world import World, WorldConfig
 rng = np.random.default_rng(0)
 leaves = [Tensor(rng.normal(size=shape)) for shape in [(64, 33), (64,), (3,)]]
 opt = training.Adam(leaves, 0.01, weight_decay=0.01)
@@ -48,35 +50,39 @@ for _ in range(300):
         leaf.grad = rng.normal(size=leaf.value.shape)
     opt.step()
 rows = b"".join(row.tobytes() for row in opt._arena.rows[:4])
-print(training._adam_kernel is not None, hashlib.sha256(rows).hexdigest())
+zs = planning._roll_z(World(WorldConfig()), 1, 0.05, rng.normal(0.0, 0.6, size=(64, 50, 2)))
+print(training._adam_kernel is not None, planning._roll_z_kernel is not None,
+      hashlib.sha256(rows).hexdigest(), hashlib.sha256(zs.tobytes()).hexdigest())
 """
 
 
 def test_adam_kernel_cold_failed_and_cached_builds(tmp_path):
     """A copy of the package starts with an empty ``__pycache__``. Without a
-    compiler on ``PATH`` Adam takes its numpy passes, quietly and leaving no
-    file behind; with one, the first import builds the kernel, the same bits
-    come out, and a cached import never loads ``subprocess``."""
+    compiler on ``PATH`` Adam and the planner's rollout take their numpy
+    passes, quietly and leaving no file behind; with one, the first import
+    builds both kernels into one library, the same bits come out, and a
+    cached import never loads ``subprocess``."""
     shutil.copytree(Path(SRC) / "segnce", tmp_path / "segnce", ignore=shutil.ignore_patterns("__pycache__"))
     cache = tmp_path / "segnce" / "__pycache__"
     no_compiler = tmp_path / "empty"
     no_compiler.mkdir()
 
-    fallback = _fresh_python("-c", ADAM_PROBE, src=str(tmp_path), PATH=str(no_compiler))
+    fallback = _fresh_python("-c", KERNEL_PROBE, src=str(tmp_path), PATH=str(no_compiler))
     assert fallback.returncode == 0 and fallback.stderr == "", fallback.stderr
-    loaded, fallback_bits = fallback.stdout.split()
-    assert loaded == "False"
-    assert not list(cache.glob("adam_step*"))
+    adam_loaded, roll_loaded, *fallback_bits = fallback.stdout.split()
+    assert (adam_loaded, roll_loaded) == ("False", "False")
+    assert not list(cache.glob("kernels*"))
 
     if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH to build the kernel with")
-    built = _fresh_python("-c", ADAM_PROBE, src=str(tmp_path))
+        pytest.skip("no C compiler on PATH to build the kernels with")
+    built = _fresh_python("-c", KERNEL_PROBE, src=str(tmp_path))
     assert built.returncode == 0 and built.stderr == "", built.stderr
-    assert built.stdout.split() == ["True", fallback_bits]
-    assert [p.suffix for p in cache.glob("adam_step*")] == [".so"]
+    assert built.stdout.split() == ["True", "True", *fallback_bits]
+    assert [p.suffix for p in cache.glob("kernels*")] == [".so"]
 
-    cached = _fresh_python("-c", "import sys, segnce, segnce.cli; from segnce import training; "
-                                 "print(training._adam_kernel is not None, 'subprocess' in sys.modules)",
+    cached = _fresh_python("-c", "import sys, segnce, segnce.cli; from segnce import planning, training; "
+                                 "print(training._adam_kernel is not None, planning._roll_z_kernel is not None, "
+                                 "'subprocess' in sys.modules)",
                            src=str(tmp_path))
     assert cached.returncode == 0, cached.stderr
-    assert cached.stdout.split() == ["True", "False"]
+    assert cached.stdout.split() == ["True", "True", "False"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from segnce import planning, training
 from segnce.errors import EmptyInputError, NumericalError, ShapeMismatchError
 from segnce.objectives import ObjectiveSpec
 from segnce.planning import (
@@ -194,12 +195,48 @@ class TestEndpointReturns:
             seen.append(len(obs))
             return embed(ckpt, obs)
 
+        def counting_embed_instructions(ckpt, instructions, embed=planning.embed_instructions):
+            seen.append(list(instructions))
+            return embed(ckpt, instructions)
+
         monkeypatch.setattr(planning, "embed_frames", counting_embed)
+        monkeypatch.setattr(planning, "embed_instructions", counting_embed_instructions)
         n, horizon = proposals.shape[:2]
         embedding_returns(tiny_ckpt, world, state, ins, proposals, gamma=gamma)
         config = PlannerConfig(horizon=horizon, n_sequences=n, iterations=3, gamma=gamma)
         plan(tiny_ckpt, world, state, ins, config, np.random.default_rng(0))
-        assert seen == [rows(n, horizon)] * 4
+        # the instruction is embedded once per call, the frames once per iteration
+        assert seen == [[ins], rows(n, horizon), [ins], *[rows(n, horizon)] * 3]
+
+
+class TestRollZ:
+    """The compiled rollout gives the numpy loop's bits: ``np.clip``'s
+    saturation at 0 and 1 and its NaN rule. (A -0.0 start is kept as is; the
+    first step adds a product that is never -0.0, so no -0.0 reaches a clip.)"""
+
+    @pytest.mark.parametrize("case", ["random", "saturating", "z0 = 0", "z0 = -0", "horizon 1", "nan"])
+    def test_kernel_matches_numpy_loop_bit_for_bit(self, world, case, monkeypatch):
+        rng = np.random.default_rng(5)
+        task, z0, horizon = 3, 0.04, 50
+        proposals = rng.normal(0.0, 0.6, size=(64, horizon, world.config.d_act))
+        if case == "saturating":  # rows pushed along or against the task direction to 0 or 1
+            proposals = np.sign(world.direction(task)) * rng.choice([-1.0, 1.0], size=(64, 1, 1))
+            proposals = np.repeat(proposals, horizon, axis=1)
+        elif case in ("z0 = 0", "z0 = -0"):
+            z0 = 0.0 if case == "z0 = 0" else -0.0
+            proposals[::2] = 0.0
+        elif case == "horizon 1":
+            proposals = proposals[:, :1]
+        elif case == "nan":
+            proposals[7, 20, 0] = np.nan
+        if planning._roll_z_kernel is None:
+            pytest.skip("no compiled rollout was built")
+        compiled = planning._roll_z(world, task, z0, proposals)
+        monkeypatch.setattr(planning, "_roll_z_kernel", None)
+        reference = planning._roll_z(world, task, z0, proposals)
+        assert compiled.tobytes() == reference.tobytes()
+        if case == "saturating":
+            assert set(compiled[:, -1]) == {0.0, 1.0}
 
 
 class TestPlan:
@@ -240,6 +277,14 @@ class TestEvaluatePlanner:
         assert a == b
         assert set(a) == {"reward", "episodes", "seed", "config", "per_instruction", "success_rate"}
         assert len(a["per_instruction"]) == 2
+
+    @pytest.mark.parametrize("reward", ["embedding", "oracle"])
+    def test_reports_equal_without_the_kernels(self, tiny_ckpt, world, reward, monkeypatch):
+        config = PlannerConfig(horizon=20, n_sequences=16, iterations=3)
+        compiled = evaluate_planner(tiny_ckpt, world, world.instructions(), 6, config, seed=4, reward=reward)
+        monkeypatch.setattr(planning, "_roll_z_kernel", None)
+        monkeypatch.setattr(training, "_adam_kernel", None)
+        assert evaluate_planner(tiny_ckpt, world, world.instructions(), 6, config, seed=4, reward=reward) == compiled
 
     def test_instruction_without_episode_reports_none(self, world):
         config = PlannerConfig(horizon=10, n_sequences=8)

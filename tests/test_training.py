@@ -2,6 +2,8 @@
 
 import copy
 import gc
+import math
+import sys
 import tracemalloc
 import weakref
 
@@ -147,6 +149,43 @@ def test_in_place_adam_matches_reference_bit_for_bit(weight_decay):
                 assert np.array_equal(values[i], reference.values[i])
                 assert np.array_equal(m[i], reference.m[i])
                 assert np.array_equal(v[i], reference.v[i])
+
+
+@pytest.mark.parametrize("defect", ["nan", "inf", "above the bound", "at the bound"])
+def test_adam_step_reports_whether_the_gradient_norm_cannot_overflow(defect):
+    """The kernel's step returns ``True`` when every gradient entry is at
+    most sqrt(DBL_MAX / 2n) in magnitude, so that no sum of the n squares
+    overflows, and ``False`` otherwise; the numpy passes verify nothing and
+    always return ``False``. Values and moments stay bit-equal across the
+    paths and the defect, NaN included."""
+    shapes = [(7, 5), (5,), (3,)]
+    bound = math.sqrt(sys.float_info.max / (2 * 43))
+    bad = {"nan": np.nan, "inf": -np.inf, "above the bound": np.nextafter(bound, np.inf),
+           "at the bound": -bound}[defect]
+
+    @np.errstate(invalid="ignore")  # inf - inf in the numpy passes
+    def run(kernel):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "_adam_kernel", kernel)
+            rng = np.random.default_rng(8)
+            leaves = [Tensor(rng.normal(size=shape)) for shape in shapes]
+            opt = Adam(leaves, 0.01, weight_decay=0.01)
+            verified = []
+            for step in range(4):
+                for leaf in leaves:
+                    leaf.grad = rng.normal(size=leaf.value.shape)
+                if step == 2:
+                    leaves[0].grad[3, 1] = bad
+                verified.append(opt.step())
+            return verified, b"".join(row.tobytes() for row in opt._arena.rows[:4])
+
+    numpy_verified, numpy_rows = run(None)
+    assert numpy_verified == [False] * 4
+    if training._adam_kernel is None:
+        pytest.skip("no compiled Adam kernel was built")
+    kernel_verified, kernel_rows = run(training._adam_kernel)
+    assert kernel_verified == [True, True, defect == "at the bound", True]
+    assert kernel_rows == numpy_rows
 
 
 def on_both_adam_paths(run):
