@@ -3,7 +3,8 @@ and first-frame clustering statistics.
 
 They embed through the training code inside ``autodiff.no_grad``, score
 the embeddings as constants and return ndarrays, so nothing can
-backpropagate into a checkpoint.
+backpropagate into a checkpoint. Heatmaps score with training's
+``segment_logits``, curves with its ``frame-align`` cosine (``cosine_matrix``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import COSINE_EPS, mlp_apply, no_grad, normalize_rows
+from .autodiff import COSINE_EPS, cosine_matrix, mlp_apply, no_grad, normalize_rows
 from .encoders import Instruction, encode_instructions
 from .errors import EmptyInputError, ShapeMismatchError
 from .objectives import segment_logits
@@ -64,21 +65,15 @@ def normalize_curve(raw: np.ndarray) -> np.ndarray:
     return np.full_like(raw, 0.5)
 
 
-def frame_similarity(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Cosine of every row of a frame-embedding matrix to one instruction
-    embedding (normalized with the ``COSINE_EPS`` floor on its norm)."""
-    return (normalize_rows(phi) @ (psi / max(float(np.linalg.norm(psi)), COSINE_EPS))).value
-
-
 def reward_curve(ckpt: Checkpoint, traj: Trajectory, instruction: Instruction) -> RewardCurve:
-    """Raw per-frame frame/instruction cosine similarities plus their
-    min-max normalization."""
+    """Raw per-frame frame/instruction cosine similarities (``cosine_matrix``'s
+    bits) plus their min-max normalization."""
     d_obs = ckpt.encoders.config.d_obs
     if traj.observations.shape[1] != d_obs:
         raise ShapeMismatchError(
             f"trajectory observation width {traj.observations.shape[1]} != checkpoint d_obs {d_obs}"
         )
-    raw = frame_similarity(embed_frames(ckpt, traj.observations), embed_instructions(ckpt, [instruction])[0])
+    raw = cosine_matrix(embed_frames(ckpt, traj.observations), embed_instructions(ckpt, [instruction])).value[:, 0]
     return RewardCurve(raw=raw, normalized=normalize_curve(raw))
 
 

@@ -141,9 +141,14 @@ def _world_for(ckpt, wc: WorldConfig, source: str | None = None) -> World:
 # ---- subcommand runners (replayable from their resolved config) ---------------------
 
 
+def _check_sizes(cfg: dict, **lows: int) -> None:
+    for key, low in lows.items():  # numpy and SeedSequence end larger sizes in raw errors
+        if not low <= cfg[key] < 2**31:
+            raise EmptyInputError(f"--{key} must be in [{low}, {2**31 - 1}], got {cfg[key]}")
+
+
 def _run_gen_world(cfg: dict) -> tuple[list, list]:
-    if cfg["count"] < 1:
-        raise EmptyInputError(f"count must be >= 1, got {cfg['count']}")
+    _check_sizes(cfg, count=1)
     wc = _world_from_cfg(cfg)
     trajectories = World(wc).generate(cfg["count"], seed=cfg["seed"])
     out = Path(cfg["out"])
@@ -180,11 +185,10 @@ def _run_train(cfg: dict) -> tuple[list, list]:
 
 
 def _run_sampling_stats(cfg: dict) -> tuple[list, list]:
+    _check_sizes(cfg, h=2, samples=1)
     from scipy import stats as sstats  # here, not at module scope: no other subcommand loads scipy
 
     h, samples = cfg["h"], cfg["samples"]
-    if h < 2:
-        raise EmptyInputError(f"need h >= 2, got {h}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x5A]))
     freqs, no_goal = empirical_goal_histogram(h, samples, rng)
     analytic = np.array([goal_probability(h, t) for t in range(1, h + 1)])

@@ -1,17 +1,18 @@
 """Zero-shot language-reward planning with a path-integral controller.
 
 Action sequences are proposed as Gaussian noise around a nominal sequence
-(zeros at first), rolled out through the world's deterministic
-latent dynamics, and scored with the per-step embedding reward: the change
-in frame/instruction cosine similarity. At gamma = 1 (the default) a
-return telescopes to sim(final frame) - sim(start frame), so only the start
-frame and each proposal's final frame are rendered and embedded: n + 1
-rows per iteration, not n * (horizon + 1); the instruction is embedded once
-per plan, and the rollout is one compiled call where a compiler runs (see
-``training._load_kernels``). Returns are normalized across the
-proposal set, turned into softmax weights at the configured temperature,
-and the weighted average becomes the next nominal sequence. The final
-nominal sequence is executed open loop.
+(zeros at first), rolled out through the world's deterministic latent
+dynamics, rendered by ``World.render`` and scored with the per-step
+embedding reward: the change in frame/instruction cosine similarity, by
+training's ``cosine_matrix``. At gamma = 1 (the default) a return
+telescopes to sim(final frame) - sim(start frame), so only the start frame
+and each proposal's final frame are rendered and embedded: n + 1 rows per
+iteration, not n * (horizon + 1); the instruction is embedded once per
+plan, and the rollout is one compiled call where a compiler runs (see
+``training._load_kernels``). Returns are normalized across the proposal
+set, turned into softmax weights at the configured temperature, and the
+weighted average becomes the next nominal sequence. The final nominal
+sequence is executed open loop.
 
 An oracle reward (ground-truth progression change) is available as an
 upper-bound sanity arm, and a uniform random-action baseline as the floor.
@@ -24,7 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import embed_frames, embed_instructions, frame_similarity
+from .analysis import embed_frames, embed_instructions
+from .autodiff import cosine_matrix
 from .encoders import Instruction
 from .errors import EmptyInputError, NumericalError, ShapeMismatchError, check_number
 from .training import Checkpoint, _roll_z_kernel
@@ -90,17 +92,17 @@ def embedding_returns(
     proposals = np.asarray(proposals, dtype=np.float64)
     if proposals.ndim != 3 or proposals.shape[2] != world.config.d_act:
         raise ShapeMismatchError(f"proposals must be (n, horizon, {world.config.d_act}), got {proposals.shape}")
-    return _returns(ckpt, world, start_state, embed_instructions(ckpt, [instruction])[0], proposals, gamma)
+    return _returns(ckpt, world, start_state, embed_instructions(ckpt, [instruction]), proposals, gamma)
 
 
 def _returns(ckpt: Checkpoint, world: World, start_state: LatentState, psi: np.ndarray, proposals: np.ndarray,
              gamma: float) -> np.ndarray:
-    """:func:`embedding_returns` against the instruction embedding ``psi``."""
+    """:func:`embedding_returns` against the (1, K) instruction embedding ``psi``."""
     zs = _roll_z(world, start_state.task, start_state.z, proposals)
     if gamma == 1.0:
         zs = np.concatenate([[start_state.z], zs[:, -1]])
     obs = world.render_batch(start_state.task, zs.reshape(-1), start_state.distractors)
-    sim = frame_similarity(embed_frames(ckpt, obs), psi).reshape(zs.shape)
+    sim = cosine_matrix(embed_frames(ckpt, obs), psi).value[:, 0].reshape(zs.shape)
     if gamma == 1.0:
         return sim[1:] - sim[0]
     return np.sum(np.diff(sim, axis=1) * gamma ** np.arange(proposals.shape[1]), axis=1)
@@ -153,7 +155,7 @@ def plan(
 ) -> np.ndarray:
     """Optimize an action sequence against the embedding reward; the
     instruction is embedded once, for every iteration."""
-    psi = embed_instructions(ckpt, [instruction])[0]
+    psi = embed_instructions(ckpt, [instruction])
 
     def returns_fn(proposals: np.ndarray) -> np.ndarray:
         return _returns(ckpt, world, start_state, psi, proposals, config.gamma)

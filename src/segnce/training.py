@@ -195,7 +195,8 @@ def _load_kernels():
     compiler command, or ``(None, None)`` where no compiler runs or the cache
     cannot be written; Adam and the planner then take their numpy passes. A
     build writes a per-process temporary file and renames it, so a concurrent
-    import never loads a half-written library."""
+    import never loads a half-written library, and then removes the libraries
+    of earlier sources."""
     digest = hashlib.sha256(repr((_KERNEL_SOURCE, _KERNEL_COMMAND)).encode()).hexdigest()[:16]
     path = Path(__file__).with_name("__pycache__") / f"kernels.{digest}.so"
     if not path.exists():
@@ -211,6 +212,9 @@ def _load_kernels():
             with contextlib.suppress(OSError):
                 temporary.unlink(missing_ok=True)
             return None, None
+        for stale in {*path.parent.glob("kernels.*.so"), *path.parent.glob("adam_step.*.so")} - {path}:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     try:
         library = ctypes.CDLL(str(path))
     except OSError:

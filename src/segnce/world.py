@@ -216,14 +216,8 @@ class World:
         return obs
 
     def render_batch(self, task: int, zs: np.ndarray, distractors: np.ndarray) -> np.ndarray:
-        """Noise-free render of many completion levels under one fixed
-        task-irrelevant latent; used by planning rollouts. Its ``F @ M.T``
-        product differs from :meth:`render` in the last bit on most rows, and
-        the planner's figures are recorded with it."""
-        obs = np.empty((len(zs), self.config.d_obs))
-        obs[:, : self.n_task] = self._features(task, zs) @ self.render_maps[task // 2].T
-        obs[:, self.n_task :] = distractors
-        return obs
+        """:meth:`render` of one task, kept as its own name for the benchmark's layer trace."""
+        return self.render(task, zs, distractors)
 
     def sample_start(self, task: int, rng: np.random.Generator, z_jitter: float = 0.0) -> LatentState:
         distractors = np.empty(self.n_scene + self.n_walk)

@@ -20,6 +20,7 @@ from segnce.errors import EmptyInputError, ShapeMismatchError
 from segnce.objectives import (
     ObjectiveSpec,
     multiframe_transition_reward,
+    segment_logits,
     segment_reward_potential,
     segment_reward_transition,
 )
@@ -88,6 +89,15 @@ class TestRewardCurve:
         a = reward_curve(tiny_ckpt, traj, traj.instruction)
         b = reward_curve(tiny_ckpt, traj, traj.instruction)
         np.testing.assert_array_equal(a.raw, b.raw)
+
+    def test_raw_is_the_frame_align_segment_reward(self, tiny_ckpt, dataset):
+        """The curve scores frames with training's scorer, bit for bit."""
+        traj = dataset[2]
+        phi = embed_frames(tiny_ckpt, traj.observations)
+        psi = embed_instructions(tiny_ckpt, [traj.instruction])
+        spec = ObjectiveSpec("frame-align", embed_dim=tiny_ckpt.objective.embed_dim)
+        np.testing.assert_array_equal(reward_curve(tiny_ckpt, traj, traj.instruction).raw,
+                                      segment_logits(spec, [phi], psi).value[:, 0])
 
 
 class TestHeatmap:

@@ -451,6 +451,17 @@ def test_malformed_input_exits_one(tmp_path, dataset_path, ckpt_path, case, caps
     assert MALFORMED_MESSAGES.get(case, "") in err
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["gen-world", "--count", str(10**30)], "--count"),
+    (["sampling-stats", "--h", "5", "--samples", str(10**23)], "--samples"),
+    (["sampling-stats", "--h", str(10**30)], "--h"),
+])
+def test_oversized_size_flag_is_named(tmp_path, capsys, args, flag):
+    assert run_cli([*args, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be in [")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import segnce
+from segnce import training
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -60,8 +62,9 @@ def test_adam_kernel_cold_failed_and_cached_builds(tmp_path):
     """A copy of the package starts with an empty ``__pycache__``. Without a
     compiler on ``PATH`` Adam and the planner's rollout take their numpy
     passes, quietly and leaving no file behind; with one, the first import
-    builds both kernels into one library, the same bits come out, and a
-    cached import never loads ``subprocess``."""
+    builds both kernels into one library, removes the libraries of earlier
+    sources, the same bits come out, and a cached import never loads
+    ``subprocess``."""
     shutil.copytree(Path(SRC) / "segnce", tmp_path / "segnce", ignore=shutil.ignore_patterns("__pycache__"))
     cache = tmp_path / "segnce" / "__pycache__"
     no_compiler = tmp_path / "empty"
@@ -75,10 +78,15 @@ def test_adam_kernel_cold_failed_and_cached_builds(tmp_path):
 
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH to build the kernels with")
+    stale = ["kernels.0000000000000000.so", "adam_step.482a69e5ed863e19.so", "adam_step.b6efeda6784f16ad.so"]
+    cache.mkdir(exist_ok=True)
+    for name in stale:
+        (cache / name).write_bytes(b"a library of an earlier source")
     built = _fresh_python("-c", KERNEL_PROBE, src=str(tmp_path))
     assert built.returncode == 0 and built.stderr == "", built.stderr
     assert built.stdout.split() == ["True", "True", *fallback_bits]
-    assert [p.suffix for p in cache.glob("kernels*")] == [".so"]
+    digest = hashlib.sha256(repr((training._KERNEL_SOURCE, training._KERNEL_COMMAND)).encode()).hexdigest()[:16]
+    assert sorted(p.name for p in cache.glob("*.so")) == [f"kernels.{digest}.so"]
 
     cached = _fresh_python("-c", "import sys, segnce, segnce.cli; from segnce import planning, training; "
                                  "print(training._adam_kernel is not None, planning._roll_z_kernel is not None, "

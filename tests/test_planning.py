@@ -112,7 +112,7 @@ class TestRolloutReturn:
 
     def test_gamma_one_telescopes_to_endpoint_difference(self, tiny_ckpt, world):
         from segnce.analysis import embed_frames, embed_instructions
-        from segnce.autodiff import cosine_similarity
+        from segnce.autodiff import cosine_matrix
 
         rng = np.random.default_rng(4)
         ins = world.instructions()[2]
@@ -123,11 +123,9 @@ class TestRolloutReturn:
 
         # replay the latent dynamics and compare endpoint similarities
         end = execute_plan(world, state, actions)
-        psi = embed_instructions(tiny_ckpt, [ins])[0]
-        obs0 = world.render_batch(task, np.array([state.z]), state.distractors)[0]
-        obsT = world.render_batch(task, np.array([end.z]), state.distractors)[0]
-        s0 = cosine_similarity(embed_frames(tiny_ckpt, obs0[None])[0], psi)
-        sT = cosine_similarity(embed_frames(tiny_ckpt, obsT[None])[0], psi)
+        psi = embed_instructions(tiny_ckpt, [ins])
+        s0, sT = (cosine_matrix(embed_frames(tiny_ckpt, world.render(task, [z], state.distractors)), psi).value[0, 0]
+                  for z in (state.z, end.z))
         assert ret == pytest.approx(sT - s0, abs=1e-12)
 
     def test_expert_beats_reversed_expert(self, trained_ckpt, world):
@@ -156,12 +154,13 @@ class TestRolloutReturn:
 def per_step_returns(ckpt, world, state, instruction, proposals, gamma):
     """Reference returns: render and embed every frame of every rollout and
     sum the discounted per-step similarity changes."""
-    from segnce.analysis import embed_frames, embed_instructions, frame_similarity
+    from segnce.analysis import embed_frames, embed_instructions
+    from segnce.autodiff import cosine_matrix
     from segnce.planning import _roll_z
 
     zs = _roll_z(world, state.task, state.z, proposals)
-    obs = world.render_batch(state.task, zs.reshape(-1), state.distractors)
-    sim = frame_similarity(embed_frames(ckpt, obs), embed_instructions(ckpt, [instruction])[0]).reshape(zs.shape)
+    obs = world.render(state.task, zs.reshape(-1), state.distractors)
+    sim = cosine_matrix(embed_frames(ckpt, obs), embed_instructions(ckpt, [instruction])).value[:, 0].reshape(zs.shape)
     return np.sum(np.diff(sim, axis=1) * gamma ** np.arange(proposals.shape[1]), axis=1)
 
 
