@@ -167,13 +167,10 @@ def _run_train(cfg: dict) -> tuple[list, list]:
         iterations=cfg["iterations"],
         batch_size=cfg["batch_size"],
         learning_rate=cfg["lr"],
-        optimizer=cfg["optimizer"],
-        weight_decay=cfg["weight_decay"],
         seed=cfg["seed"],
-        checkpoint_interval=cfg["ckpt_interval"],
     )
     out = Path(cfg["out"])
-    ckpt = train(tc, dataset, vocab_size=wc.vocab_size, checkpoint_path=out)
+    ckpt = train(tc, dataset, vocab_size=wc.vocab_size)
     save_checkpoint(ckpt, out)
     metrics_path = out.with_suffix(out.suffix + ".metrics.csv")
     with metrics_path.open("w", encoding="utf-8") as fh:
@@ -347,11 +344,8 @@ _SUBCOMMANDS = {
         Option("seed", _TRAIN.seed), Option("data"),
         Option("objective", _TRAIN.objective.variant, choices=VARIANTS), Option("out"),
         Option("iterations", _TRAIN.iterations), Option("batch_size", _TRAIN.batch_size),
-        Option("lr", _TRAIN.learning_rate), Option("optimizer", _TRAIN.optimizer, choices=("adam", "sgd")),
-        Option("weight_decay", _TRAIN.weight_decay), Option("embed_dim", _TRAIN.objective.embed_dim),
+        Option("lr", _TRAIN.learning_rate), Option("embed_dim", _TRAIN.objective.embed_dim),
         Option("temperature", _TRAIN.objective.temperature),
-        Option("ckpt_interval", _TRAIN.checkpoint_interval,
-               help="persist a snapshot every N iterations (0: final only)"),
     ]),
     "sampling-stats": (_run_sampling_stats, "analytic vs empirical goal-index statistics", [
         Option("seed", 0), Option("h", kind=int), Option("samples", 1_000_000), Option("out"),

@@ -1,4 +1,4 @@
-"""Stochastic-gradient training loop, optimizers, and checkpoint persistence.
+"""Stochastic-gradient training loop, its Adam optimizer, and checkpoint persistence.
 
 One iteration samples a batch of (trajectory, start, goal) rows, embeds the
 frames and instruction labels they read, evaluates the configured
@@ -20,7 +20,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import InitVar, dataclass, field, asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,23 +57,16 @@ class TrainConfig:
     iterations: int = 2000
     batch_size: int = 64
     learning_rate: float = 1e-3
-    optimizer: str = "adam"  # "adam" or "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     seed: int = 0
-    checkpoint_interval: int = 0  # 0: only the final checkpoint is kept
     encoder: Optional[EncoderConfig] = None
+    optimizer: InitVar[str] = "adam"  # accepted, never stored: Adam is the one optimizer
 
-    def __post_init__(self):
+    def __post_init__(self, optimizer):
         if self.iterations < 1 or self.batch_size < 2:
             raise EmptyInputError("need iterations >= 1 and batch_size >= 2")
         check_number(EmptyInputError, "learning_rate", self.learning_rate)
-        check_number(EmptyInputError, "weight_decay", self.weight_decay)
-        check_number(EmptyInputError, "checkpoint_interval", self.checkpoint_interval)
-        if self.optimizer not in ("adam", "sgd"):
-            raise EmptyInputError(f"unknown optimizer {self.optimizer!r}")
+        if optimizer != "adam":
+            raise EmptyInputError(f"unknown optimizer {optimizer!r}: Adam is the only one")
         if self.encoder is not None and self.encoder.embed_dim != self.objective.embed_dim:
             raise ShapeMismatchError(f"encoder embed_dim {self.encoder.embed_dim} != objective embed_dim "
                                      f"{self.objective.embed_dim}")
@@ -91,18 +84,18 @@ class Checkpoint:
 
 
 class _Arena:
-    """One flat float64 arena over all ``leaves``: one row per quantity
-    (values, gradients, then the optimizer's own state), each leaf owning the
+    """One flat float64 arena over all ``leaves``: six rows (values,
+    gradients, Adam's two moments and two scratch rows), each leaf owning the
     same slice of every row. Every leaf's ``value`` and ``grad`` become views
     of its slices of the first two rows, so an update is one pass over whole
     rows; elementwise, each entry gets the arithmetic of a per-leaf update,
     bit for bit. Each row is its own array, so a trained model whose leaves
     drop their gradients keeps only the value row alive."""
 
-    def __init__(self, leaves: Sequence[Tensor], rows: int):
+    def __init__(self, leaves: Sequence[Tensor]):
         self.leaves = list(leaves)
         bounds = np.cumsum([0, *(leaf.value.size for leaf in self.leaves)])
-        self.rows = tuple(np.zeros(int(bounds[-1])) for _ in range(rows))
+        self.rows = tuple(np.zeros(int(bounds[-1])) for _ in range(6))
         self.views = [[row[lo:hi].reshape(leaf.value.shape) for row in self.rows]
                       for leaf, lo, hi in zip(self.leaves, bounds[:-1], bounds[1:])]
         self.sync()
@@ -119,26 +112,8 @@ class _Arena:
                 leaf.grad = grad
 
 
-class Sgd:
-    """Plain gradient descent with L2 coupled into the gradient, over one
-    arena of values, gradients and a scratch row."""
-
-    def __init__(self, leaves: Sequence[Tensor], lr: float, weight_decay: float = 0.0):
-        self._arena = _Arena(leaves, 3)
-        self.leaves = self._arena.leaves
-        self.lr = lr
-        self.weight_decay = weight_decay
-
-    def step(self):
-        self._arena.sync()
-        w, g, s = self._arena.rows
-        if self.weight_decay:
-            g = np.add(g, np.multiply(self.weight_decay, w, out=s), out=s)
-        w -= np.multiply(self.lr, g, out=s)
-
-
-# adam_step is one Adam step in one pass: per entry, the arithmetic of
-# Adam.step's numpy passes in their order. It returns whether every
+# adam_step is one Adam step in one branch-free pass: per entry, the arithmetic
+# of Adam.step's numpy passes in their order. It returns whether every
 # |g| <= sqrt(DBL_MAX / 2n), under which no sum of the n squares overflows
 # (NaN fails), kept as a select: an integer |= left the loop scalar. roll_z
 # is planning._roll_z's clipped rollout with numpy's maximum and minimum
@@ -153,15 +128,13 @@ _KERNEL_SOURCE = r"""
 
 int adam_step(size_t n, double *restrict w, const double *restrict g, double *restrict m,
               double *restrict v, double b1, double b2, double c1, double c2, double lr,
-              double eps, double wd)
+              double eps)
 {
     const double a1 = 1 - b1, a2 = 1 - b2, bound = sqrt(DBL_MAX / (2.0 * n));
     double big = 0.0;
     for (size_t i = 0; i < n; i++) {
-        double gi = g[i];
+        const double gi = g[i];
         big = (fabs(gi) <= bound) ? big : 1.0;
-        if (wd != 0.0)
-            gi = gi + wd * w[i];
         const double mi = m[i] * b1 + a1 * gi;
         const double vi = v[i] * b2 + (a2 * gi) * gi;
         m[i] = mi;
@@ -219,7 +192,7 @@ def _load_kernels():
         library = ctypes.CDLL(str(path))
     except OSError:
         return None, None
-    library.adam_step.argtypes = (ctypes.c_size_t, *[ctypes.c_void_p] * 4, *[ctypes.c_double] * 7)
+    library.adam_step.argtypes = (ctypes.c_size_t, *[ctypes.c_void_p] * 4, *[ctypes.c_double] * 6)
     library.adam_step.restype = ctypes.c_int
     library.roll_z.argtypes = (ctypes.c_size_t, ctypes.c_size_t, ctypes.c_double, ctypes.c_double,
                                ctypes.c_void_p, ctypes.c_void_p)
@@ -231,7 +204,7 @@ _adam_kernel, _roll_z_kernel = _load_kernels()
 
 
 class Adam:
-    """Adam with L2 coupled into the gradient (not decoupled decay).
+    """Adam at the textbook constants b1 = 0.9, b2 = 0.999 and eps = 1e-8.
 
     Values, gradients, both moments and two scratch rows live in one arena;
     ``m`` and ``v`` hold each leaf's moment views. A step is one call of the
@@ -242,13 +215,12 @@ class Adam:
     and ``w -= lr * (m/c1) / (sqrt(v/c2) + eps)``.
     """
 
-    def __init__(self, leaves: Sequence[Tensor], lr: float, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay: float = 0.0):
-        self._arena = _Arena(leaves, 6)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, leaves: Sequence[Tensor], lr: float):
+        self._arena = _Arena(leaves)
         self.leaves = self._arena.leaves
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = [views[2] for views in self._arena.views]
         self.v = [views[3] for views in self._arena.views]
@@ -264,10 +236,7 @@ class Adam:
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         w, g, m, v, s, u = self._arena.rows
         if _adam_kernel is not None:
-            return bool(_adam_kernel(w.size, *self._addresses, b1, b2, c1, c2, self.lr, self.eps,
-                                     self.weight_decay))
-        if self.weight_decay:
-            g = np.add(g, np.multiply(self.weight_decay, w, out=s), out=s)
+            return bool(_adam_kernel(w.size, *self._addresses, b1, b2, c1, c2, self.lr, self.eps))
         m *= b1
         m += np.multiply(1 - b1, g, out=u)
         np.multiply(1 - b2, g, out=u)
@@ -282,19 +251,6 @@ class Adam:
         s /= u
         w -= s
         return False
-
-
-def make_optimizer(config: TrainConfig, leaves: Sequence[Tensor]):
-    if config.optimizer == "sgd":
-        return Sgd(leaves, config.learning_rate, config.weight_decay)
-    return Adam(
-        leaves,
-        config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.adam_eps,
-        weight_decay=config.weight_decay,
-    )
 
 
 def _grad_norm(optimizer) -> float:
@@ -351,12 +307,9 @@ def default_encoder_config(config: TrainConfig, dataset: Sequence[Trajectory],
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divergence surfaces as TrainingDivergedError
-def train(config: TrainConfig, dataset: Sequence[Trajectory],
-          vocab_size: int | None = None, checkpoint_path=None) -> Checkpoint:
+def train(config: TrainConfig, dataset: Sequence[Trajectory], vocab_size: int | None = None) -> Checkpoint:
     """Run the full loop and return the final checkpoint.
 
-    With ``checkpoint_path`` set and a positive ``checkpoint_interval`` the
-    current state is persisted every interval iterations (overwriting).
     Raises :class:`TrainingDivergedError` naming the iteration, the seed and
     the learning rate if the loss or the gradient norm goes non-finite.
     """
@@ -366,15 +319,10 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
     enc_config = config.encoder or default_encoder_config(config, data, vocab_size)
     encoders = init_params(enc_config, config.seed)
     leaves = encoders.leaves()
-    optimizer = make_optimizer(config, leaves)
+    optimizer = Adam(leaves, config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7E41]))
 
     history = np.zeros((config.iterations, 3))
-
-    def snapshot(iteration: int) -> Checkpoint:
-        return Checkpoint(encoders=encoders, objective=config.objective, config=config,
-                          iteration=iteration, history=history[:iteration])
-
     for it in range(config.iterations):
         rows = sample_batch(data.lengths, config.batch_size, rng)
         where = f"at iteration {it} (seed {config.seed}, learning_rate {config.learning_rate!r})"
@@ -391,16 +339,10 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory],
             raise TrainingDivergedError(it, f"non-finite gradient norm {grad_norm} {where}")
         optimizer.step()
         history[it] = (it, loss_value, grad_norm)
-        if (
-            checkpoint_path is not None
-            and config.checkpoint_interval > 0
-            and (it + 1) % config.checkpoint_interval == 0
-            and (it + 1) < config.iterations
-        ):
-            save_checkpoint(snapshot(it + 1), checkpoint_path)
     for leaf in leaves:  # no consumer reads a trained model's gradients
         leaf.grad = None
-    return snapshot(config.iterations)
+    return Checkpoint(encoders=encoders, objective=config.objective, config=config,
+                      iteration=config.iterations, history=history)
 
 
 # ---- checkpoint container -----------------------------------------------------------
@@ -413,8 +355,17 @@ def _encoder_config_from_json(d: dict) -> EncoderConfig:
     return EncoderConfig(**enc)
 
 
+# keys of older train configs, each at the one value the code now runs
+_RETIRED_KEYS = {"optimizer": "adam", "weight_decay": 0.0, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8}
+
+
 def _config_from_json(d: dict) -> TrainConfig:
     d = dict(d)
+    d.pop("checkpoint_interval", None)  # snapshots never changed a weight
+    for key, value in _RETIRED_KEYS.items():
+        held = d.pop(key, value)
+        if held != value:
+            raise CheckpointFormatError(f"retired train_config key {key!r} holds {held!r}, not {value!r}")
     d["objective"] = ObjectiveSpec(**d["objective"])
     if d.get("encoder") is not None:
         d["encoder"] = _encoder_config_from_json(d["encoder"])

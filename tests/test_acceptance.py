@@ -67,7 +67,7 @@ def report(criterion: str, ok: bool, detail: str):
 def train_config(variant: str, seed: int) -> TrainConfig:
     return TrainConfig(
         objective=ObjectiveSpec(variant=variant), iterations=2000, batch_size=64,
-        learning_rate=1e-3, optimizer="adam", weight_decay=0.0, seed=seed,
+        learning_rate=1e-3, optimizer="adam", seed=seed,
     )
 
 

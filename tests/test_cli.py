@@ -237,6 +237,33 @@ class TestConfigResolution:
         assert run_cli(["gen-world", "--config", str(cfg), "--out", str(workdir / "n.bin")]) != 0
 
 
+@pytest.mark.parametrize("flag, value", [("--optimizer", "sgd"), ("--weight-decay", "0.01"), ("--ckpt-interval", "5")])
+def test_retired_train_flag_is_a_usage_error(workdir, dataset_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(["train", "--data", str(dataset_path), "--out", str(workdir / "r.ckpt"), flag, value])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "manifest"])
+def test_retired_optimizer_config_key_is_named(workdir, dataset_path, ckpt_path, capsys, source):
+    """A config file or a replayed train manifest that still holds the
+    retired ``optimizer`` key is refused by name before anything runs."""
+    if source == "config":
+        path = workdir / "optimizer.json"
+        path.write_text(json.dumps({"optimizer": "adam"}))
+        args = ["train", "--config", str(path), "--data", str(dataset_path), "--out", str(workdir / "o.ckpt")]
+    else:
+        manifest = json.loads((ckpt_path.parent / "enc.ckpt.manifest.json").read_text())
+        manifest["config"].update(optimizer="adam", out=str(workdir / "o.ckpt"))
+        path = workdir / "optimizer.manifest.json"
+        path.write_text(json.dumps(manifest))
+        args = ["replay", "--manifest", str(path)]
+    assert run_cli(args) == 1
+    assert f"unknown config key 'optimizer' in {path}" in capsys.readouterr().err
+    assert not (workdir / "o.ckpt").exists()
+
+
 class TestReplay:
     def test_gen_world_replay_byte_identical(self, workdir, dataset_path):
         manifest_path = dataset_path.parent / "data.bin.manifest.json"
@@ -397,8 +424,6 @@ MALFORMED_INPUTS = {
     "eval-lcbc-lr-overflows": _cli("eval-lcbc", "--ckpt", "{ckpt}", "--demos", "{data}", "--lr", "1e30",
                                    "--steps", "30", "--out", "{tmp}/bc.json"),
     "train-temperature-nan": _cli("train", "--data", "{data}", "--temperature", "nan", "--out", "{tmp}/t.ckpt"),
-    "train-ckpt-interval-negative": _cli("train", "--data", "{data}", "--ckpt-interval", "-3",
-                                         "--out", "{tmp}/t.ckpt"),
     "train-embed-dim-zero": _cli("train", "--data", "{data}", "--embed-dim", "0", "--out", "{tmp}/t.ckpt"),
     "gen-world-noise-negative": _cli("gen-world", "--noise", "-1", "--out", "{tmp}/g.bin"),
     "plan-noise-scale-negative": _cli("plan", "--ckpt", "{ckpt}", "--noise-scale", "-1", "--out", "{tmp}/p.json"),
@@ -426,7 +451,6 @@ MALFORMED_MESSAGES = {
     "eval-lcbc-lr-diverges": "at step 1 (seed 0, learning_rate 1e+300)",
     "eval-lcbc-lr-overflows": "gradient norm inf at step",
     "train-temperature-nan": "temperature",
-    "train-ckpt-interval-negative": "checkpoint_interval",
     "train-embed-dim-zero": "embed_dim",
     "gen-world-noise-negative": "noise",
     "plan-noise-scale-negative": "noise_scale",
@@ -491,10 +515,9 @@ def test_every_json_output_is_strict_json(tmp_path):
 # layers, whose gradients are long enough for a threaded BLAS dot
 PIPELINE = [
     ["gen-world", "--out", "data.bin", "--count", "40", "--h-min", "10", "--h-max", "16"],
-    ["train", "--data", "data.bin", "--out", "t.ckpt", "--iterations", "60", "--batch-size", "16",
-     "--ckpt-interval", "20"],
+    ["train", "--data", "data.bin", "--out", "t.ckpt", "--iterations", "60", "--batch-size", "16"],
     ["train", "--data", "data.bin", "--objective", "t8", "--out", "t8.ckpt", "--iterations", "40",
-     "--batch-size", "16", "--weight-decay", "0.01"],
+     "--batch-size", "16"],
     ["sampling-stats", "--h", "8", "--samples", "20000", "--out", "stats.csv"],
     ["reward-curve", "--ckpt", "t.ckpt", "--data", "data.bin", "--out", "curve.csv"],
     ["heatmap", "--ckpt", "t8.ckpt", "--data", "data.bin", "--lengths", "2,5", "--out", "heatmap.csv"],

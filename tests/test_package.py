@@ -35,9 +35,9 @@ def test_import_loads_no_scipy():
     assert _fresh_python("-m", "segnce", "--help").returncode == 0
 
 
-# 300 Adam steps with weight decay and one planner rollout; prints whether
-# each compiled kernel was loaded, then the sha256 of the final values and
-# moments and of the rollout
+# 300 Adam steps and one planner rollout; prints whether each compiled
+# kernel was loaded, then the sha256 of the final values and moments and of
+# the rollout
 KERNEL_PROBE = """
 import hashlib, sys
 import numpy as np
@@ -46,7 +46,7 @@ from segnce.autodiff import Tensor
 from segnce.world import World, WorldConfig
 rng = np.random.default_rng(0)
 leaves = [Tensor(rng.normal(size=shape)) for shape in [(64, 33), (64,), (3,)]]
-opt = training.Adam(leaves, 0.01, weight_decay=0.01)
+opt = training.Adam(leaves, 0.01)
 for _ in range(300):
     for leaf in leaves:
         leaf.grad = rng.normal(size=leaf.value.shape)

@@ -1,6 +1,7 @@
-"""Unit tests for the training loop, optimizers, and checkpoint container."""
+"""Unit tests for the training loop, Adam, and checkpoint container."""
 
 import copy
+import dataclasses
 import gc
 import math
 import sys
@@ -26,7 +27,6 @@ from segnce import training
 from segnce.sampling import Segment, StackedDataset, frame_positions, sample_batch, stack_dataset
 from segnce.training import (
     Adam,
-    Sgd,
     TrainConfig,
     _embed_batch,
     default_encoder_config,
@@ -55,19 +55,13 @@ def small_config(**kw):
 
 
 class TestOptimizers:
-    def test_sgd_step(self):
-        leaf = Tensor(np.array([1.0, -2.0]))
-        leaf.grad = np.array([0.5, 0.5])
-        Sgd([leaf], lr=0.1).step()
-        np.testing.assert_allclose(leaf.value, [0.95, -2.05])
-
     def test_adam_first_step_hand_computed(self):
         # on f(w) = w^2/2 at w0: g = w0; first Adam step with bias correction
         # is lr * g / (|g| + eps) regardless of g's magnitude
         w0 = 3.0
         leaf = Tensor(np.array([w0]))
         leaf.grad = np.array([w0])
-        opt = Adam([leaf], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam([leaf], lr=0.1)
         opt.step()
         expected = w0 - 0.1 * w0 / (np.sqrt(w0**2) + 1e-8)
         assert leaf.value[0] == pytest.approx(expected, abs=1e-12)
@@ -75,7 +69,7 @@ class TestOptimizers:
     def test_adam_two_steps_hand_computed(self):
         leaf = Tensor(np.array([1.0]))
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-        opt = Adam([leaf], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam([leaf], lr=lr)
         m = v = 0.0
         w = 1.0
         for t in range(1, 3):
@@ -87,18 +81,12 @@ class TestOptimizers:
             w = w - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
             assert leaf.value[0] == pytest.approx(w, abs=1e-12)
 
-    def test_coupled_weight_decay_enters_gradient(self):
-        leaf = Tensor(np.array([2.0]))
-        leaf.grad = np.array([0.0])
-        Sgd([leaf], lr=0.1, weight_decay=0.5).step()
-        assert leaf.value[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
-
 
 class ReferenceAdam:
-    """Out-of-place Adam with coupled L2, written as the textbook expressions."""
+    """Out-of-place Adam, written as the textbook expressions."""
 
-    def __init__(self, values, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
-        self.values, self.lr, self.b1, self.b2, self.eps, self.wd = values, lr, beta1, beta2, eps, weight_decay
+    def __init__(self, values, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.values, self.lr, self.b1, self.b2, self.eps = values, lr, beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(w) for w in values]
         self.v = [np.zeros_like(w) for w in values]
@@ -106,8 +94,6 @@ class ReferenceAdam:
     def step(self, grads):
         self.t += 1
         for i, g in enumerate(grads):
-            if self.wd:
-                g = g + self.wd * self.values[i]
             self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
             self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
             m_hat = self.m[i] / (1 - self.b1**self.t)
@@ -115,7 +101,7 @@ class ReferenceAdam:
             self.values[i] = self.values[i] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _adam_run(shapes, steps, weight_decay, kernel):
+def _adam_run(shapes, steps, kernel):
     """Adam on leaves of ``shapes`` over ``steps`` seeded gradients, on the
     given step path (``None``: the numpy passes); the final values and
     moments, and the textbook reference's."""
@@ -123,8 +109,8 @@ def _adam_run(shapes, steps, weight_decay, kernel):
         patch.setattr(training, "_adam_kernel", kernel)
         rng = np.random.default_rng(4)
         leaves = [Tensor(rng.normal(size=shape)) for shape in shapes]
-        reference = ReferenceAdam([leaf.value.copy() for leaf in leaves], 0.01, weight_decay=weight_decay)
-        opt = Adam(leaves, 0.01, weight_decay=weight_decay)
+        reference = ReferenceAdam([leaf.value.copy() for leaf in leaves], 0.01)
+        opt = Adam(leaves, 0.01)
         for _ in range(steps):
             grads = [rng.normal(size=shape) for shape in shapes]
             for leaf, g in zip(leaves, grads):
@@ -137,14 +123,13 @@ def _adam_run(shapes, steps, weight_decay, kernel):
 BC_SHAPES = [(256, 65), (256,), (256, 256), (256,), (2, 256), (2,)]  # the policy MLP [65, 256, 256, 2]
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_in_place_adam_matches_reference_bit_for_bit(weight_decay):
+def test_in_place_adam_matches_reference_bit_for_bit():
     """Both step paths, the compiled kernel (where one was built) and the
     numpy passes, on a small arena and on a behavior-cloning-sized one over
     400 steps: past step ~350, where ``1 - 0.9**t`` rounds to 1."""
     for shapes, steps in (([(7, 5), (5,), (), (3, 2, 4), (1,)], 50), (BC_SHAPES, 400)):
         for kernel in (training._adam_kernel, None):
-            values, m, v, reference = _adam_run(shapes, steps, weight_decay, kernel)
+            values, m, v, reference = _adam_run(shapes, steps, kernel)
             for i in range(len(shapes)):
                 assert np.array_equal(values[i], reference.values[i])
                 assert np.array_equal(m[i], reference.m[i])
@@ -169,7 +154,7 @@ def test_adam_step_reports_whether_the_gradient_norm_cannot_overflow(defect):
             patch.setattr(training, "_adam_kernel", kernel)
             rng = np.random.default_rng(8)
             leaves = [Tensor(rng.normal(size=shape)) for shape in shapes]
-            opt = Adam(leaves, 0.01, weight_decay=0.01)
+            opt = Adam(leaves, 0.01)
             verified = []
             for step in range(4):
                 for leaf in leaves:
@@ -198,14 +183,13 @@ def on_both_adam_paths(run):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_adam_paths_train_bit_for_bit_alike(small_dataset, variant):
-    """Whole runs, with and without weight decay: the same loss and gradient
-    norm histories and the same weights on either Adam step path."""
-    for weight_decay in (0.0, 0.01):
-        config = small_config(objective=ObjectiveSpec(variant=variant), weight_decay=weight_decay)
-        kernel_run, numpy_run = on_both_adam_paths(lambda: train(config, small_dataset))
-        assert kernel_run.history.tobytes() == numpy_run.history.tobytes()
-        for a, b in zip(kernel_run.encoders.leaves(), numpy_run.encoders.leaves()):
-            assert a.value.tobytes() == b.value.tobytes()
+    """Whole runs: the same loss and gradient norm histories and the same
+    weights on either Adam step path."""
+    config = small_config(objective=ObjectiveSpec(variant=variant))
+    kernel_run, numpy_run = on_both_adam_paths(lambda: train(config, small_dataset))
+    assert kernel_run.history.tobytes() == numpy_run.history.tobytes()
+    for a, b in zip(kernel_run.encoders.leaves(), numpy_run.encoders.leaves()):
+        assert a.value.tobytes() == b.value.tobytes()
 
 
 class TestAllocation:
@@ -264,16 +248,15 @@ def assert_owns_only_its_weights(leaves, optimizer):
         assert not any(np.shares_memory(_buffer_owner(leaf.value), row) for row in optimizer._arena.rows[1:])
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_trained_model_owns_only_its_weights(small_dataset, monkeypatch, optimizer):
-    make, made = training.make_optimizer, []
+def test_trained_model_owns_only_its_weights(small_dataset, monkeypatch):
+    made = []
 
     def recording(*args):
-        made.append(make(*args))
+        made.append(Adam(*args))
         return made[-1]
 
-    monkeypatch.setattr(training, "make_optimizer", recording)
-    ckpt = train(small_config(optimizer=optimizer, iterations=3), small_dataset)
+    monkeypatch.setattr(training, "Adam", recording)
+    ckpt = train(small_config(iterations=3), small_dataset)
     assert_owns_only_its_weights(ckpt.encoders.leaves(), made[0])
 
 
@@ -303,15 +286,20 @@ class TestTrainLoop:
         ckpt = train(small_config(iterations=300, batch_size=16), small_dataset)
         assert ckpt.history[-20:, 1].mean() < ckpt.history[0, 1]
 
-    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("field", ["learning_rate"])
     @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
     def test_config_rejects_negative_or_non_finite(self, field, value):
         with pytest.raises(EmptyInputError, match=field):
             small_config(**{field: value})
 
-    def test_config_names_a_bad_interval_or_width(self):
-        with pytest.raises(EmptyInputError, match="checkpoint_interval"):
-            small_config(checkpoint_interval=-3)
+    def test_config_takes_only_the_adam_optimizer_and_stores_none(self):
+        config = small_config(optimizer="adam")
+        assert config == small_config() and "optimizer" not in dataclasses.asdict(config)
+        assert dataclasses.replace(config, seed=1) == small_config(seed=1)
+        with pytest.raises(EmptyInputError, match="optimizer 'sgd'"):
+            small_config(optimizer="sgd")
+
+    def test_config_names_a_bad_width(self):
         with pytest.raises(ShapeMismatchError, match="embed_dim"):
             ObjectiveSpec(embed_dim=0)
 
@@ -325,7 +313,7 @@ class TestTrainLoop:
     def test_nan_abort_names_iteration(self, small_dataset):
         # an absurd learning rate reliably overflows within a few steps
         with pytest.raises(TrainingDivergedError) as excinfo:
-            train(small_config(learning_rate=1e150, optimizer="sgd", iterations=50), small_dataset)
+            train(small_config(learning_rate=1e150, iterations=50), small_dataset)
         assert "iteration" in str(excinfo.value)
 
     def test_non_finite_gradient_norm_names_iteration_seed_and_learning_rate(self, small_dataset, monkeypatch):
@@ -580,16 +568,6 @@ class TestCheckpointIo:
         with pytest.raises(CheckpointFormatError, match="version"):
             load_checkpoint(path)
 
-    def test_periodic_snapshots_written(self, tmp_path, small_dataset):
-        path = tmp_path / "periodic.ckpt"
-        config = small_config(iterations=10, checkpoint_interval=4)
-        final = train(config, small_dataset, checkpoint_path=path)
-        # train() leaves the last interval snapshot on disk; callers persist
-        # the final state themselves
-        assert load_checkpoint(path).iteration == 8
-        save_checkpoint(final, path)
-        assert load_checkpoint(path).iteration == 10
-
     def test_generic_archive_round_trip(self, tmp_path):
         arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.array(3.5)}
         path = tmp_path / "x.bin"
@@ -650,3 +628,29 @@ def test_malformed_checkpoint_rejected(tmp_path, small_dataset, defect):
     with pytest.raises(CheckpointFormatError, match="bad.ckpt"):
         load_checkpoint(path)
 
+
+
+@pytest.mark.parametrize("retired, refusal", [
+    ({"optimizer": "adam", "weight_decay": 0.0, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8,
+      "checkpoint_interval": 0}, None),
+    ({"checkpoint_interval": 20}, None),
+    ({"weight_decay": 0.01}, "'weight_decay' holds 0.01,"),
+    ({"beta1": 0.8}, "'beta1' holds 0.8,"),
+    ({"optimizer": "sgd"}, "'optimizer' holds 'sgd',"),
+], ids=["defaults", "checkpoint_interval=20", "weight_decay=0.01", "beta1=0.8", "optimizer=sgd"])
+def test_older_checkpoint_loads_retired_defaults_and_names_the_rest(tmp_path, small_dataset, retired, refusal):
+    """An older header holds the train_config keys of Adam's settings, the
+    optimizer and the snapshot interval. At the values the code now runs (any
+    interval: snapshots never changed a weight) it loads to the config it
+    was trained with; any other value is refused by key and value."""
+    ckpt = train(small_config(iterations=2), small_dataset)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(ckpt, path)
+    meta, arrays = read_array_archive(path, "encoder-checkpoint")
+    meta["train_config"].update(retired)
+    write_array_archive(path, meta, arrays)
+    if refusal is None:
+        assert load_checkpoint(path).config == ckpt.config
+    else:
+        with pytest.raises(CheckpointFormatError, match=f"old.ckpt: .*{refusal}"):
+            load_checkpoint(path)
