@@ -102,6 +102,9 @@ def reward_heatmap(
 ) -> HeatmapGrid:
     if len(segments) == 0 or len(instructions) == 0:
         raise EmptyInputError("heatmap needs at least one segment and one instruction")
+    for what, labels, n in (("row", row_labels, len(segments)), ("column", col_labels, len(instructions))):
+        if labels and len(labels) != n:
+            raise ShapeMismatchError(f"{len(labels)} {what} labels for {n} {what}s")
     return HeatmapGrid(
         values=segment_score(ckpt, segments, instructions),
         row_labels=list(row_labels) if row_labels else [f"segment{i}" for i in range(len(segments))],

@@ -142,9 +142,10 @@ def _world_for(ckpt, wc: WorldConfig, source: str | None = None) -> World:
 
 
 def _check_sizes(cfg: dict, **lows: int) -> None:
+    """Called before any work, but after any library config that owns a lower bound, so it names a low size."""
     for key, low in lows.items():  # numpy and SeedSequence end larger sizes in raw errors
         if not low <= cfg[key] < 2**31:
-            raise EmptyInputError(f"--{key} must be in [{low}, {2**31 - 1}], got {cfg[key]}")
+            raise EmptyInputError(f"--{key.replace('_', '-')} must be in [{low}, {2**31 - 1}], got {cfg[key]}")
 
 
 def _run_gen_world(cfg: dict) -> tuple[list, list]:
@@ -158,7 +159,6 @@ def _run_gen_world(cfg: dict) -> tuple[list, list]:
 
 
 def _run_train(cfg: dict) -> tuple[list, list]:
-    wc, dataset = load_dataset(cfg["data"])
     spec = ObjectiveSpec(
         variant=cfg["objective"], embed_dim=cfg["embed_dim"], temperature=cfg["temperature"]
     )
@@ -169,6 +169,8 @@ def _run_train(cfg: dict) -> tuple[list, list]:
         learning_rate=cfg["lr"],
         seed=cfg["seed"],
     )
+    _check_sizes(cfg, iterations=1, batch_size=2, embed_dim=1)
+    wc, dataset = load_dataset(cfg["data"])
     out = Path(cfg["out"])
     ckpt = train(tc, dataset, vocab_size=wc.vocab_size)
     save_checkpoint(ckpt, out)
@@ -227,16 +229,16 @@ def _run_reward_curve(cfg: dict) -> tuple[list, list]:
 
 
 def _comma_list(cfg: dict, key: str, words=()) -> list:
-    """The non-empty entries of the comma list ``cfg[key]``, as positive
-    integers unless one of ``words``."""
+    """The non-empty entries of the comma list ``cfg[key]``, as integers in
+    [1, 2**31 - 1] unless one of ``words``."""
     values = []
     for part in filter(None, (part.strip() for part in cfg[key].split(","))):
         try:
             values.append(part if part in words else int(part))
         except ValueError:
             raise EmptyInputError(f"--{key} entry {part!r} is not an integer") from None
-        if part not in words and values[-1] < 1:
-            raise EmptyInputError(f"--{key} entry {part!r} is below 1")
+        if part not in words and not 1 <= values[-1] < 2**31:
+            raise EmptyInputError(f"--{key} entry {part!r} must be in [1, {2**31 - 1}]")
     return values
 
 
@@ -289,11 +291,6 @@ def _run_first_image_stats(cfg: dict) -> tuple[list, list]:
 
 
 def _run_plan(cfg: dict) -> tuple[list, list]:
-    ckpt = load_checkpoint(cfg["ckpt"])
-    world = _world_for(ckpt, _world_from_cfg(cfg))
-    instructions = (
-        [world.parse_instruction(cfg["instruction"])] if cfg["instruction"] else world.instructions()
-    )
     pc = planning.PlannerConfig(
         horizon=cfg["horizon"],
         n_sequences=cfg["sequences"],
@@ -301,6 +298,12 @@ def _run_plan(cfg: dict) -> tuple[list, list]:
         temperature=cfg["temperature"],
         gamma=cfg["gamma"],
         noise_scale=cfg["noise_scale"],
+    )
+    _check_sizes(cfg, horizon=1, sequences=2, episodes=1)
+    ckpt = load_checkpoint(cfg["ckpt"])
+    world = _world_for(ckpt, _world_from_cfg(cfg))
+    instructions = (
+        [world.parse_instruction(cfg["instruction"])] if cfg["instruction"] else world.instructions()
     )
     report = planning.evaluate_planner(
         ckpt, world, instructions, cfg["episodes"], pc, seed=cfg["seed"], reward=cfg["reward"]
@@ -312,7 +315,6 @@ def _run_plan(cfg: dict) -> tuple[list, list]:
 
 
 def _run_eval_lcbc(cfg: dict) -> tuple[list, list]:
-    ckpt, world, demos = _load_ckpt_and_world(cfg, "demos")
     bc = imitation.BcConfig(
         hidden=tuple(_comma_list(cfg, "hidden")),
         learning_rate=cfg["lr"],
@@ -320,6 +322,8 @@ def _run_eval_lcbc(cfg: dict) -> tuple[list, list]:
         steps=cfg["steps"],
         seed=cfg["seed"],
     )
+    _check_sizes(cfg, steps=1, episodes=1)
+    ckpt, world, demos = _load_ckpt_and_world(cfg, "demos")
     policy = imitation.train_bc(ckpt, demos, bc)
     report = imitation.evaluate_bc_all(policy, ckpt, world, cfg["episodes"], seed=cfg["seed"])
     report["final_train_loss"] = float(policy.loss_history[-1])

@@ -9,7 +9,6 @@ inside ``autodiff.no_grad``, so no gradient can reach them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -18,9 +17,9 @@ import numpy as np
 from .autodiff import MlpParams, init_mlp, mlp_apply, mse, no_grad
 from .analysis import embed_frames, embed_instructions
 from .encoders import Instruction
-from .errors import CheckpointFormatError, EmptyInputError, NumericalError, TrainingDivergedError, check_number
+from .errors import CheckpointFormatError, EmptyInputError, NumericalError, check_number
 from .sampling import Trajectory
-from .training import Adam, Checkpoint, _grad_norm, mlp_arrays, mlp_from_arrays, read_array_archive, write_array_archive
+from .training import Checkpoint, descend, mlp_arrays, mlp_from_arrays, read_array_archive, write_array_archive
 from .world import World
 
 
@@ -70,45 +69,25 @@ def featurize_demos(ckpt: Checkpoint, demos: Sequence[Trajectory]) -> tuple[np.n
     return np.concatenate(inputs), np.concatenate(targets)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divergence surfaces as TrainingDivergedError
 def train_bc(ckpt: Checkpoint, demos: Sequence[Trajectory], config: BcConfig) -> PolicyParams:
     """Minimize mean squared action error; the checkpoint's encoders stay frozen.
 
     Raises :class:`TrainingDivergedError` naming the step, the seed and the
     learning rate at the first non-finite loss or gradient norm. The norm is
-    only a finiteness gate, so it is computed after the update, and only when
-    the Adam step did not verify that no gradient entry can overflow it: the
-    step leaves the gradients as they were, and a raise discards the policy
-    it touched. :func:`training.train` records its norm, so it takes it first.
+    only a finiteness gate, so :func:`training.descend` takes it only where
+    the Adam step did not verify that no gradient entry can overflow it.
     """
     inputs, targets = featurize_demos(ckpt, demos)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBC]))
-    widths = [inputs.shape[1], *config.hidden, targets.shape[1]]
-    mlp = init_mlp(widths, rng)
-    leaves = mlp.leaves()
-    optimizer = Adam(leaves, config.learning_rate)
+    mlp = init_mlp([inputs.shape[1], *config.hidden, targets.shape[1]], rng)
     n = inputs.shape[0]
-    history = np.zeros(config.steps)
-    for step in range(config.steps):
+
+    def loss_at(step):
         idx = rng.integers(0, n, size=min(config.batch_size, n))
-        loss = mse(mlp_apply(mlp, inputs[idx]), targets[idx])
-        history[step] = float(loss.value)
-        if not np.isfinite(history[step]):
-            raise TrainingDivergedError(
-                step, f"non-finite behavior-cloning loss {history[step]} at step {step} "
-                f"(seed {config.seed}, learning_rate {config.learning_rate!r})"
-            )
-        loss.backward()
-        if optimizer.step():
-            continue
-        grad_norm = _grad_norm(optimizer)
-        if not math.isfinite(grad_norm):
-            raise TrainingDivergedError(
-                step, f"non-finite behavior-cloning gradient norm {grad_norm} at step {step} "
-                f"(seed {config.seed}, learning_rate {config.learning_rate!r})"
-            )
-    for leaf in leaves:  # no consumer reads a trained policy's gradients
-        leaf.grad = None
+        return mse(mlp_apply(mlp, inputs[idx]), targets[idx])
+
+    history, _ = descend(mlp.leaves(), config.learning_rate, config.steps, loss_at,
+                         lambda step: f"step {step} (seed {config.seed}, learning_rate {config.learning_rate!r})")
     return PolicyParams(mlp=mlp, config=config, loss_history=history)
 
 

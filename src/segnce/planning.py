@@ -205,8 +205,8 @@ def evaluate_planner(
     ``reward`` selects the scoring arm: "embedding" (needs a checkpoint),
     "oracle" (ground truth), or "random" (no planning, uniform actions).
     """
-    if episodes < 1:
-        raise EmptyInputError("need at least one episode")
+    if episodes < 1 or len(instructions) == 0:
+        raise EmptyInputError("need at least one episode and one instruction")
     if reward not in ("embedding", "oracle", "random"):
         raise EmptyInputError(f"unknown reward arm {reward!r}")
     if reward == "embedding" and ckpt is None:

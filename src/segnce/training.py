@@ -1,10 +1,11 @@
-"""Stochastic-gradient training loop, its Adam optimizer, and checkpoint persistence.
+"""The one Adam descent loop, encoder training on it, and checkpoint persistence.
 
-One iteration samples a batch of (trajectory, start, goal) rows, embeds the
-frames and instruction labels they read, evaluates the configured
-contrastive loss, and updates both encoders jointly. The loop is fully
-determined by (seed, config, dataset); the loss and global gradient norm are
-recorded every iteration.
+:func:`descend` is the loop that :func:`train` and ``imitation.train_bc``
+share. One training iteration samples a batch of (trajectory, start, goal)
+rows, embeds the frames and instruction labels they read, evaluates the
+configured contrastive loss, and updates both encoders jointly. The loop is
+fully determined by (seed, config, dataset); the loss and global gradient
+norm are recorded every iteration.
 
 Checkpoints, policies and datasets share one small binary container: magic,
 format version, a JSON header with a ``kind``, metadata and array shapes,
@@ -81,35 +82,6 @@ class Checkpoint:
     config: TrainConfig
     iteration: int
     history: np.ndarray  # (n, 3): iteration, loss, grad norm
-
-
-class _Arena:
-    """One flat float64 arena over all ``leaves``: six rows (values,
-    gradients, Adam's two moments and two scratch rows), each leaf owning the
-    same slice of every row. Every leaf's ``value`` and ``grad`` become views
-    of its slices of the first two rows, so an update is one pass over whole
-    rows; elementwise, each entry gets the arithmetic of a per-leaf update,
-    bit for bit. Each row is its own array, so a trained model whose leaves
-    drop their gradients keeps only the value row alive."""
-
-    def __init__(self, leaves: Sequence[Tensor]):
-        self.leaves = list(leaves)
-        bounds = np.cumsum([0, *(leaf.value.size for leaf in self.leaves)])
-        self.rows = tuple(np.zeros(int(bounds[-1])) for _ in range(6))
-        self.views = [[row[lo:hi].reshape(leaf.value.shape) for row in self.rows]
-                      for leaf, lo, hi in zip(self.leaves, bounds[:-1], bounds[1:])]
-        self.sync()
-
-    def sync(self) -> None:
-        """Copy a value or gradient the caller has rebound into the arena and
-        bind the leaf back to its view; a leaf without a gradient gets zeros."""
-        for leaf, (value, grad, *_) in zip(self.leaves, self.views):
-            if leaf.value is not value:
-                value[...] = leaf.value
-                leaf.value = value
-            if leaf.grad is not grad:
-                grad[...] = 0.0 if leaf.grad is None else leaf.grad
-                leaf.grad = grad
 
 
 # adam_step is one Adam step in one branch-free pass: per entry, the arithmetic
@@ -206,35 +178,53 @@ _adam_kernel, _roll_z_kernel = _load_kernels()
 class Adam:
     """Adam at the textbook constants b1 = 0.9, b2 = 0.999 and eps = 1e-8.
 
-    Values, gradients, both moments and two scratch rows live in one arena;
-    ``m`` and ``v`` hold each leaf's moment views. A step is one call of the
+    All ``leaves`` share one flat float64 arena of six rows (values,
+    gradients, both moments and two scratch rows), each leaf owning the same
+    slice of every row; ``views`` holds each leaf's six views, and every
+    leaf's ``value`` and ``grad`` are views of its slices of the first two
+    rows. Each row is its own array, so a trained model whose leaves drop
+    their gradients keeps only the value row alive. A step is one call of the
     compiled ``adam_step`` over the rows, or, where none could be built, one
     set of in-place ufunc calls that allocates no parameter-sized array. Both
     run the arithmetic in the order of the textbook expressions, so results
-    are bit for bit those of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``
-    and ``w -= lr * (m/c1) / (sqrt(v/c2) + eps)``.
+    are bit for bit those of a per-leaf ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g`` and ``w -= lr * (m/c1) / (sqrt(v/c2) + eps)``.
+    Neither path writes the gradient row.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, leaves: Sequence[Tensor], lr: float):
-        self._arena = _Arena(leaves)
-        self.leaves = self._arena.leaves
+        self.leaves = list(leaves)
         self.lr = lr
         self.t = 0
-        self.m = [views[2] for views in self._arena.views]
-        self.v = [views[3] for views in self._arena.views]
-        self._addresses = [row.ctypes.data for row in self._arena.rows[:4]]
+        bounds = np.cumsum([0, *(leaf.value.size for leaf in self.leaves)])
+        self.rows = tuple(np.zeros(int(bounds[-1])) for _ in range(6))
+        self.views = [[row[lo:hi].reshape(leaf.value.shape) for row in self.rows]
+                      for leaf, lo, hi in zip(self.leaves, bounds[:-1], bounds[1:])]
+        self._addresses = [row.ctypes.data for row in self.rows[:4]]
+        self._sync()
+
+    def _sync(self) -> None:
+        """Copy a value or gradient the caller has rebound into the arena and
+        bind the leaf back to its view; a leaf without a gradient gets zeros."""
+        for leaf, (value, grad, *_) in zip(self.leaves, self.views):
+            if leaf.value is not value:
+                value[...] = leaf.value
+                leaf.value = value
+            if leaf.grad is not grad:
+                grad[...] = 0.0 if leaf.grad is None else leaf.grad
+                leaf.grad = grad
 
     def step(self) -> bool:
         """One update; returns ``True`` only when the kernel verified that no
         gradient entry can overflow the gradient norm (the numpy passes verify
         nothing and return ``False``)."""
-        self._arena.sync()
+        self._sync()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        w, g, m, v, s, u = self._arena.rows
+        w, g, m, v, s, u = self.rows
         if _adam_kernel is not None:
             return bool(_adam_kernel(w.size, *self._addresses, b1, b2, c1, c2, self.lr, self.eps))
         m *= b1
@@ -243,7 +233,7 @@ class Adam:
         u *= g
         v *= b2
         v += u
-        np.divide(m, c1, out=s)  # g is spent: s may now be overwritten
+        np.divide(m, c1, out=s)
         s *= self.lr
         np.divide(v, c2, out=u)
         np.sqrt(u, out=u)
@@ -252,16 +242,46 @@ class Adam:
         w -= s
         return False
 
+    def grad_norm(self) -> float:
+        """Euclidean norm of the leaf gradients. The gradient row is squared
+        into the last (scratch) row and each leaf's slice summed in that leaf's
+        shape: the bits of ``sum((g * g).sum())`` over the leaves, which no
+        BLAS thread count changes, with no parameter-sized temporary."""
+        self._sync()
+        np.multiply(self.rows[1], self.rows[1], out=self.rows[-1])
+        return math.sqrt(sum(float(views[-1].sum()) for views in self.views))
 
-def _grad_norm(optimizer) -> float:
-    """Euclidean norm of the optimizer's leaf gradients. The gradient row is
-    squared into its last (scratch) row and each leaf's slice summed in that
-    leaf's shape: the bits of ``sum((g * g).sum())`` over the leaves, which no
-    BLAS thread count changes, with no parameter-sized temporary."""
-    arena = optimizer._arena
-    arena.sync()
-    np.multiply(arena.rows[1], arena.rows[1], out=arena.rows[-1])
-    return math.sqrt(sum(float(views[-1].sum()) for views in arena.views))
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divergence surfaces as TrainingDivergedError
+def descend(leaves: Sequence[Tensor], lr: float, steps: int, loss_at, where,
+            record_norms: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Take ``steps`` Adam steps at learning rate ``lr`` on the scalar loss
+    ``loss_at(step)`` of ``leaves``; return the loss and gradient-norm
+    histories and drop the gradients. The norm is taken after the step,
+    which never writes the gradient row: on every step if ``record_norms``,
+    else only where the step did not verify that it cannot overflow (0
+    elsewhere). A non-finite loss or norm, or a :class:`NumericalError` from
+    ``loss_at``, raises :class:`TrainingDivergedError` naming ``where(step)``,
+    e.g. ``"step 3 (seed 0, learning_rate 0.001)"``."""
+    optimizer = Adam(leaves, lr)
+    losses, norms = np.zeros(steps), np.zeros(steps)
+    for step in range(steps):
+        try:
+            loss = loss_at(step)
+        except NumericalError as exc:
+            raise TrainingDivergedError(step, f"non-finite values at {where(step)}: {exc}") from exc
+        losses[step] = loss.value
+        if not math.isfinite(losses[step]):
+            raise TrainingDivergedError(step, f"non-finite loss {losses[step]} at {where(step)}")
+        loss.backward()
+        if optimizer.step() and not record_norms:
+            continue
+        norms[step] = optimizer.grad_norm()
+        if not math.isfinite(norms[step]):
+            raise TrainingDivergedError(step, f"non-finite gradient norm {norms[step]} at {where(step)}")
+    for leaf in optimizer.leaves:  # no consumer reads a trained model's gradients
+        leaf.grad = None
+    return losses, norms
 
 
 def batch_embeddings(embed, observations: np.ndarray, rows: np.ndarray) -> list[Tensor]:
@@ -306,7 +326,6 @@ def default_encoder_config(config: TrainConfig, dataset: Sequence[Trajectory],
     return EncoderConfig(d_obs=d_obs, embed_dim=config.objective.embed_dim, vocab_size=vocab_size)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # divergence surfaces as TrainingDivergedError
 def train(config: TrainConfig, dataset: Sequence[Trajectory], vocab_size: int | None = None) -> Checkpoint:
     """Run the full loop and return the final checkpoint.
 
@@ -318,29 +337,16 @@ def train(config: TrainConfig, dataset: Sequence[Trajectory], vocab_size: int | 
     data = stack_dataset(dataset)
     enc_config = config.encoder or default_encoder_config(config, data, vocab_size)
     encoders = init_params(enc_config, config.seed)
-    leaves = encoders.leaves()
-    optimizer = Adam(leaves, config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7E41]))
 
-    history = np.zeros((config.iterations, 3))
-    for it in range(config.iterations):
+    def loss_at(it):
         rows = sample_batch(data.lengths, config.batch_size, rng)
-        where = f"at iteration {it} (seed {config.seed}, learning_rate {config.learning_rate!r})"
-        try:
-            loss = batch_loss(config.objective, *_embed_batch(encoders, config.objective, data, rows, rng))
-            loss_value = float(loss.value)
-        except NumericalError as exc:
-            raise TrainingDivergedError(it, f"non-finite values {where}: {exc}") from exc
-        if not np.isfinite(loss_value):
-            raise TrainingDivergedError(it, f"non-finite loss {loss_value} {where}")
-        loss.backward()
-        grad_norm = _grad_norm(optimizer)
-        if not np.isfinite(grad_norm):
-            raise TrainingDivergedError(it, f"non-finite gradient norm {grad_norm} {where}")
-        optimizer.step()
-        history[it] = (it, loss_value, grad_norm)
-    for leaf in leaves:  # no consumer reads a trained model's gradients
-        leaf.grad = None
+        return batch_loss(config.objective, *_embed_batch(encoders, config.objective, data, rows, rng))
+
+    losses, norms = descend(encoders.leaves(), config.learning_rate, config.iterations, loss_at,
+                            lambda it: f"iteration {it} (seed {config.seed}, learning_rate {config.learning_rate!r})",
+                            record_norms=True)
+    history = np.column_stack([np.arange(config.iterations, dtype=np.float64), losses, norms])
     return Checkpoint(encoders=encoders, objective=config.objective, config=config,
                       iteration=config.iterations, history=history)
 

@@ -129,6 +129,18 @@ class TestHeatmap:
         with pytest.raises(EmptyInputError):
             reward_heatmap(tiny_ckpt, [], world.instructions())
 
+    def test_labels_of_the_wrong_length_rejected(self, tiny_ckpt, dataset, world):
+        """A label list shorter or longer than its axis is refused, not
+        silently cut short by the CSV writer's ``zip``."""
+        segments = [Segment(dataset[0], 0, 4), Segment(dataset[1], 0, 4)]
+        instructions = world.instructions()
+        with pytest.raises(ShapeMismatchError, match="1 row labels for 2 rows"):
+            reward_heatmap(tiny_ckpt, segments, instructions, row_labels=["only one"])
+        with pytest.raises(ShapeMismatchError, match="column labels"):
+            reward_heatmap(tiny_ckpt, segments, instructions, col_labels=["x"] * (len(instructions) + 1))
+        grid = reward_heatmap(tiny_ckpt, segments, instructions, row_labels=["a", "b"])
+        assert grid.row_labels == ["a", "b"]
+
     @pytest.mark.parametrize("variant", ["p", "t", "t4", "t8", "frame-align"])
     def test_cells_match_reference_rewards(self, tiny_ckpt, dataset, world, variant):
         import copy

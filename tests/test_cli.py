@@ -479,6 +479,13 @@ def test_malformed_input_exits_one(tmp_path, dataset_path, ckpt_path, case, caps
     (["gen-world", "--count", str(10**30)], "--count"),
     (["sampling-stats", "--h", "5", "--samples", str(10**23)], "--samples"),
     (["sampling-stats", "--h", str(10**30)], "--h"),
+    *[(["train", "--data", "missing.bin", flag, str(10**30)], flag)
+      for flag in ("--iterations", "--batch-size", "--embed-dim")],
+    *[(["plan", "--ckpt", "missing.ckpt", flag, str(10**30)], flag)
+      for flag in ("--episodes", "--horizon", "--sequences")],
+    *[(["eval-lcbc", "--ckpt", "missing.ckpt", "--demos", "missing.bin", flag, value], name)
+      for flag, value, name in (("--steps", str(10**30), "--steps"), ("--episodes", str(10**30), "--episodes"),
+                                ("--hidden", f"64,{10**30}", f"--hidden entry '{10**30}'"))],
 ])
 def test_oversized_size_flag_is_named(tmp_path, capsys, args, flag):
     assert run_cli([*args, "--out", str(tmp_path / "out")]) == 1

@@ -7,7 +7,7 @@ from segnce.analysis import embed_frames, embed_instructions
 from segnce.autodiff import init_mlp, mlp_apply
 from segnce.encoders import Instruction
 from segnce.errors import CheckpointFormatError, EmptyInputError, TrainingDivergedError
-from segnce import imitation, training
+from segnce import training
 from segnce.imitation import (
     BcConfig,
     _closed_loop_successes,
@@ -21,7 +21,7 @@ from segnce.imitation import (
 from segnce.objectives import ObjectiveSpec
 from segnce.planning import execute_plan
 from segnce.sampling import Trajectory
-from segnce.training import Adam, TrainConfig, _grad_norm, save_checkpoint, train, write_array_archive
+from segnce.training import Adam, TrainConfig, save_checkpoint, train, write_array_archive
 from segnce.world import SCENE_DRIFT, WALK_SIGMA, World, WorldConfig
 
 from conftest import reference_mlp, render_one
@@ -127,7 +127,8 @@ def test_gradient_norm_only_on_steps_the_adam_kernel_does_not_verify(tiny_ckpt, 
     no norm; on the numpy passes it computes one after every step, and with
     the kernel it computes one at the step whose gradient overflows."""
     steps = []
-    monkeypatch.setattr(imitation, "_grad_norm", lambda opt: steps.append(opt.t) or _grad_norm(opt))
+    grad_norm = Adam.grad_norm
+    monkeypatch.setattr(Adam, "grad_norm", lambda opt: steps.append(opt.t) or grad_norm(opt))
     if training._adam_kernel is not None:
         train_bc(tiny_ckpt, demos, BcConfig(steps=20, seed=2))
         assert steps == []
@@ -147,7 +148,7 @@ def test_trained_policy_owns_only_its_weights(tiny_ckpt, demos, monkeypatch):
         made.append(Adam(*args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(imitation, "Adam", recording)
+    monkeypatch.setattr(training, "Adam", recording)
     policy = train_bc(tiny_ckpt, demos, BcConfig(hidden=(16,), steps=3, seed=0))
     assert_owns_only_its_weights(policy.mlp.leaves(), made[0])
 

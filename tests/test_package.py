@@ -51,7 +51,7 @@ for _ in range(300):
     for leaf in leaves:
         leaf.grad = rng.normal(size=leaf.value.shape)
     opt.step()
-rows = b"".join(row.tobytes() for row in opt._arena.rows[:4])
+rows = b"".join(row.tobytes() for row in opt.rows[:4])
 zs = planning._roll_z(World(WorldConfig()), 1, 0.05, rng.normal(0.0, 0.6, size=(64, 50, 2)))
 print(training._adam_kernel is not None, planning._roll_z_kernel is not None,
       hashlib.sha256(rows).hexdigest(), hashlib.sha256(zs.tobytes()).hexdigest())

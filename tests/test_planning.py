@@ -295,3 +295,7 @@ class TestEvaluatePlanner:
     def test_embedding_reward_requires_checkpoint(self, world):
         with pytest.raises(EmptyInputError):
             evaluate_planner(None, world, world.instructions(), 1, PlannerConfig(), seed=0)
+
+    def test_no_instructions_rejected(self, world):
+        with pytest.raises(EmptyInputError, match="one instruction"):
+            evaluate_planner(None, world, [], 2, PlannerConfig(), seed=0, reward="random")

@@ -117,7 +117,8 @@ def _adam_run(shapes, steps, kernel):
                 leaf.grad = g
             opt.step()
             reference.step(grads)
-        return [leaf.value for leaf in leaves], opt.m, opt.v, reference
+        return ([leaf.value for leaf in leaves], [views[2] for views in opt.views],
+                [views[3] for views in opt.views], reference)
 
 
 BC_SHAPES = [(256, 65), (256,), (256, 256), (256,), (2, 256), (2,)]  # the policy MLP [65, 256, 256, 2]
@@ -142,7 +143,9 @@ def test_adam_step_reports_whether_the_gradient_norm_cannot_overflow(defect):
     most sqrt(DBL_MAX / 2n) in magnitude, so that no sum of the n squares
     overflows, and ``False`` otherwise; the numpy passes verify nothing and
     always return ``False``. Values and moments stay bit-equal across the
-    paths and the defect, NaN included."""
+    paths and the defect, NaN included. Neither path, nor the gradient norm
+    taken after the step, writes the gradient row: ``training.descend``
+    takes the norm after the step on that ground."""
     shapes = [(7, 5), (5,), (3,)]
     bound = math.sqrt(sys.float_info.max / (2 * 43))
     bad = {"nan": np.nan, "inf": -np.inf, "above the bound": np.nextafter(bound, np.inf),
@@ -161,8 +164,12 @@ def test_adam_step_reports_whether_the_gradient_norm_cannot_overflow(defect):
                     leaf.grad = rng.normal(size=leaf.value.shape)
                 if step == 2:
                     leaves[0].grad[3, 1] = bad
+                given = b"".join(leaf.grad.tobytes() for leaf in leaves)
                 verified.append(opt.step())
-            return verified, b"".join(row.tobytes() for row in opt._arena.rows[:4])
+                assert opt.rows[1].tobytes() == given
+                opt.grad_norm()
+                assert opt.rows[1].tobytes() == given
+            return verified, b"".join(row.tobytes() for row in opt.rows[:4])
 
     numpy_verified, numpy_rows = run(None)
     assert numpy_verified == [False] * 4
@@ -245,7 +252,7 @@ def assert_owns_only_its_weights(leaves, optimizer):
     scratch)."""
     for leaf in leaves:
         assert leaf.grad is None
-        assert not any(np.shares_memory(_buffer_owner(leaf.value), row) for row in optimizer._arena.rows[1:])
+        assert not any(np.shares_memory(_buffer_owner(leaf.value), row) for row in optimizer.rows[1:])
 
 
 def test_trained_model_owns_only_its_weights(small_dataset, monkeypatch):
@@ -318,7 +325,7 @@ class TestTrainLoop:
 
     def test_non_finite_gradient_norm_names_iteration_seed_and_learning_rate(self, small_dataset, monkeypatch):
         norms = iter([1.0, 2.0, float("inf")])
-        monkeypatch.setattr(training, "_grad_norm", lambda leaves: next(norms))
+        monkeypatch.setattr(training.Adam, "grad_norm", lambda optimizer: next(norms))
         with pytest.raises(TrainingDivergedError, match=r"gradient norm inf at iteration 2 \(seed 0, learning_rate 0\.001\)") as excinfo:
             train(small_config(iterations=5), small_dataset)
         assert excinfo.value.iteration == 2
