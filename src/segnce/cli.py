@@ -148,9 +148,13 @@ def _check_sizes(cfg: dict, **lows: int) -> None:
             raise EmptyInputError(f"--{key.replace('_', '-')} must be in [{low}, {2**31 - 1}], got {cfg[key]}")
 
 
+# WorldConfig's own lower bounds, which it checks first; _check_sizes adds the upper one
+_WORLD_SIZES = dict(d_obs=4, d_act=1, h_min=2, h_max=2)
+
+
 def _run_gen_world(cfg: dict) -> tuple[list, list]:
-    _check_sizes(cfg, count=1)
     wc = _world_from_cfg(cfg)
+    _check_sizes(cfg, count=1, **_WORLD_SIZES)
     trajectories = World(wc).generate(cfg["count"], seed=cfg["seed"])
     out = Path(cfg["out"])
     save_dataset(out, wc, trajectories)
@@ -299,9 +303,10 @@ def _run_plan(cfg: dict) -> tuple[list, list]:
         gamma=cfg["gamma"],
         noise_scale=cfg["noise_scale"],
     )
-    _check_sizes(cfg, horizon=1, sequences=2, episodes=1)
+    wc = _world_from_cfg(cfg)
+    _check_sizes(cfg, horizon=1, sequences=2, episodes=1, **_WORLD_SIZES)
     ckpt = load_checkpoint(cfg["ckpt"])
-    world = _world_for(ckpt, _world_from_cfg(cfg))
+    world = _world_for(ckpt, wc)
     instructions = (
         [world.parse_instruction(cfg["instruction"])] if cfg["instruction"] else world.instructions()
     )

@@ -87,17 +87,24 @@ class Checkpoint:
 # adam_step is one Adam step in one branch-free pass: per entry, the arithmetic
 # of Adam.step's numpy passes in their order. It returns whether every
 # |g| <= sqrt(DBL_MAX / 2n), under which no sum of the n squares overflows
-# (NaN fails), kept as a select: an integer |= left the loop scalar. roll_z
-# is planning._roll_z's clipped rollout with numpy's maximum and minimum
-# rules (NaN passes, a tie gives the bound). -O3 vectorizes adam_step (GCC 12
-# leaves it scalar at -O2), -fno-math-errno lets sqrt vectorize, and
-# -ffp-contract=off rounds every product and sum on its own, with no FMA.
-# Never -ffast-math or -Ofast: they reorder and flush denormals.
+# (NaN fails), kept as a select: an integer |= left the loop scalar. On
+# x86-64 GCC >= 12 with glibc the library holds AVX-512, AVX2 and baseline
+# clones of it and the loader picks one for the CPU; every operation is an
+# IEEE correctly rounded one, so each clone gives the same bits. Other
+# toolchains build the one baseline loop. roll_z is planning._roll_z's
+# clipped rollout with numpy's maximum and minimum rules (NaN passes, a tie
+# gives the bound). -O3 vectorizes adam_step (GCC 12 leaves it scalar at
+# -O2), -fno-math-errno lets sqrt vectorize, and -ffp-contract=off rounds
+# every product and sum on its own, with no FMA, in every clone. Never
+# -ffast-math or -Ofast: they reorder and flush denormals.
 _KERNEL_SOURCE = r"""
 #include <float.h>
 #include <math.h>
 #include <stddef.h>
 
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 12
+__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#endif
 int adam_step(size_t n, double *restrict w, const double *restrict g, double *restrict m,
               double *restrict v, double b1, double b2, double c1, double c2, double lr,
               double eps)
@@ -189,7 +196,8 @@ class Adam:
     run the arithmetic in the order of the textbook expressions, so results
     are bit for bit those of a per-leaf ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + (1-b2)*g*g`` and ``w -= lr * (m/c1) / (sqrt(v/c2) + eps)``.
-    Neither path writes the gradient row.
+    Whichever of the kernel's per-ISA clones the loader picks, the bits are
+    the same. Neither path writes the gradient row.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8

@@ -486,6 +486,9 @@ def test_malformed_input_exits_one(tmp_path, dataset_path, ckpt_path, case, caps
     *[(["eval-lcbc", "--ckpt", "missing.ckpt", "--demos", "missing.bin", flag, value], name)
       for flag, value, name in (("--steps", str(10**30), "--steps"), ("--episodes", str(10**30), "--episodes"),
                                 ("--hidden", f"64,{10**30}", f"--hidden entry '{10**30}'"))],
+    *[(["gen-world", flag, str(10**30)], flag) for flag in ("--d-obs", "--d-act", "--h-max")],
+    (["gen-world", "--h-min", str(10**30), "--h-max", str(10**30)], "--h-min"),
+    *[(["plan", "--ckpt", "missing.ckpt", flag, str(10**30)], flag) for flag in ("--d-act", "--h-max")],
 ])
 def test_oversized_size_flag_is_named(tmp_path, capsys, args, flag):
     assert run_cli([*args, "--out", str(tmp_path / "out")]) == 1

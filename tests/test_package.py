@@ -35,9 +35,10 @@ def test_import_loads_no_scipy():
     assert _fresh_python("-m", "segnce", "--help").returncode == 0
 
 
-# 300 Adam steps and one planner rollout; prints whether each compiled
-# kernel was loaded, then the sha256 of the final values and moments and of
-# the rollout
+# 300 Adam steps on normal gradients, 60 on gradients over every binade with
+# zeros and subnormals, and one planner rollout; prints whether each compiled
+# kernel was loaded, then the sha256 of each arena's final values and moments
+# and of the rollout
 KERNEL_PROBE = """
 import hashlib, sys
 import numpy as np
@@ -45,16 +46,22 @@ from segnce import planning, training
 from segnce.autodiff import Tensor
 from segnce.world import World, WorldConfig
 rng = np.random.default_rng(0)
-leaves = [Tensor(rng.normal(size=shape)) for shape in [(64, 33), (64,), (3,)]]
-opt = training.Adam(leaves, 0.01)
-for _ in range(300):
-    for leaf in leaves:
-        leaf.grad = rng.normal(size=leaf.value.shape)
-    opt.step()
-rows = b"".join(row.tobytes() for row in opt.rows[:4])
+hashes = []
+for steps, binades in ((300, None), (60, (-1074, 600))):
+    leaves = [Tensor(rng.normal(size=shape)) for shape in [(64, 33), (64,), (3,)]]
+    opt = training.Adam(leaves, 0.01)
+    for _ in range(steps):
+        for leaf in leaves:
+            leaf.grad = rng.normal(size=leaf.value.shape)
+            if binades:
+                leaf.grad = np.ldexp(leaf.grad, rng.integers(*binades, size=leaf.grad.shape))
+                leaf.grad[rng.random(leaf.grad.shape) < 0.1] = -0.0
+        with np.errstate(all="ignore"):
+            opt.step()
+    hashes.append(hashlib.sha256(b"".join(row.tobytes() for row in opt.rows[:4])).hexdigest())
 zs = planning._roll_z(World(WorldConfig()), 1, 0.05, rng.normal(0.0, 0.6, size=(64, 50, 2)))
-print(training._adam_kernel is not None, planning._roll_z_kernel is not None,
-      hashlib.sha256(rows).hexdigest(), hashlib.sha256(zs.tobytes()).hexdigest())
+print(training._adam_kernel is not None, planning._roll_z_kernel is not None, *hashes,
+      hashlib.sha256(zs.tobytes()).hexdigest())
 """
 
 

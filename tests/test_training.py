@@ -180,6 +180,55 @@ def test_adam_step_reports_whether_the_gradient_norm_cannot_overflow(defect):
     assert kernel_rows == numpy_rows
 
 
+def every_binade(rng, size, lowest=-1074, highest=600):
+    """Signed values with exponents drawn uniformly over [lowest, highest]
+    (subnormals below -1022), one in eight of them +0 or -0."""
+    values = np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(lowest, highest + 1, size))
+    values *= rng.choice([-1.0, 1.0], size)
+    values[rng.random(size) < 1 / 8] = 0.0
+    values[rng.random(size) < 1 / 16] = -0.0
+    return values
+
+
+@np.errstate(all="ignore")  # the wide gradients and extreme moments overflow and make NaN, on both paths alike
+def test_adam_kernel_matches_numpy_on_every_binade():
+    """Over 400 steps (past the step where ``1 - 0.9**t`` rounds to 1) the
+    kernel's value and moment rows equal the numpy passes' byte for byte
+    after every step. The leaves take normal gradients; gradients over
+    binades -1074..480, subnormals included, whose squares stay finite;
+    gradients over every binade, which overflow; and gradients of magnitude
+    1/4 to 8 on moments written before the first step at 2^-960 and 2^1000,
+    their outer neighbours, DBL_MAX, the smallest subnormal, 0, inf and NaN,
+    each with both signs. The last three draws hold +0 and -0."""
+    if training._adam_kernel is None:
+        pytest.skip("no compiled Adam kernel was built")
+    tiny, huge = 2.0 ** -960, 2.0 ** 1000
+    edges = np.array([tiny, np.nextafter(tiny, 0.0), huge, np.nextafter(huge, np.inf), sys.float_info.max,
+                      5e-324, 0.0, np.inf, np.nan])
+    edges = np.concatenate([edges, -edges])
+    rng = np.random.default_rng(31)
+    leaves = [((2, 256), lambda: rng.normal(size=(2, 256))),
+              ((513,), lambda: every_binade(rng, 513, highest=480)),
+              ((512,), lambda: every_binade(rng, 512)),
+              (edges.shape, lambda: every_binade(rng, edges.size, -2, 2))]
+    start = [rng.normal(size=shape) for shape, _ in leaves]
+    optimizers = {path: Adam([Tensor(value.copy()) for value in start], 1e-3) for path in ("kernel", "numpy")}
+    for opt in optimizers.values():
+        opt.views[-1][2][:] = edges
+        opt.views[-1][3][:] = edges
+    for step in range(400):
+        grads = [gradients() for _, gradients in leaves]
+        for path, opt in optimizers.items():
+            for leaf, g in zip(opt.leaves, grads):
+                leaf.grad = g.copy()
+            with pytest.MonkeyPatch.context() as patch:
+                if path == "numpy":
+                    patch.setattr(training, "_adam_kernel", None)
+                opt.step()
+        kernel_rows, numpy_rows = ([row.tobytes() for row in opt.rows[:4]] for opt in optimizers.values())
+        assert kernel_rows == numpy_rows, f"step {step + 1}"
+
+
 def on_both_adam_paths(run):
     """``run()``'s result with the loaded Adam kernel, then on the numpy passes."""
     kernel_result = run()
