@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import COSINE_EPS, cosine_matrix, mlp_apply, no_grad, normalize_rows
+from .autodiff import COSINE_EPS, _normalized, cosine_matrix, mlp_apply, no_grad
 from .encoders import Instruction, encode_instructions
 from .errors import EmptyInputError, ShapeMismatchError
 from .objectives import segment_logits
@@ -128,7 +128,7 @@ def first_image_similarity_stats(
         rng = rng or np.random.default_rng(0)
         picks = list(rng.choice(len(dataset), size=max_trajectories, replace=False))
     firsts = np.stack([dataset[i].observations[0] for i in picks])
-    emb = normalize_rows(embed_frames(ckpt, firsts)).value
+    emb = _normalized(embed_frames(ckpt, firsts))[0]
     gram = emb @ emb.T
     n = len(picks)
     iu = np.triu_indices(n, k=1)
@@ -162,7 +162,7 @@ def random_frame_pair_similarity(
         traj = dataset[int(rng.integers(0, len(dataset)))]
         t = int(rng.integers(1, traj.h))
         frames.append(traj.observations[t])
-    emb = normalize_rows(embed_frames(ckpt, np.stack(frames))).value
+    emb = _normalized(embed_frames(ckpt, np.stack(frames)))[0]
     a, b = emb[:n_pairs], emb[n_pairs:]
     return float(np.sum(a * b, axis=1).mean())
 

@@ -359,19 +359,6 @@ def normalize_rows(m) -> Tensor:
     return m / sq.maximum(COSINE_EPS * COSINE_EPS).sqrt()
 
 
-def concat_rows(parts: Sequence) -> Tensor:
-    """Stack matrices along the leading axis."""
-    parts = [Tensor._lift(p) for p in parts]
-    bounds = np.cumsum([0, *(p.value.shape[0] for p in parts)])
-
-    def backward(out):
-        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-            if p.requires_grad:
-                p._add_grad(out.grad[lo:hi])
-
-    return Tensor(np.concatenate([p.value for p in parts]), parts, backward)
-
-
 def _normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward values of :func:`normalize_rows`: the normalized rows, the
     floored norms and the mask of rows above the floor."""

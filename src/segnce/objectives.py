@@ -14,28 +14,23 @@ and sum the per-hop transition rewards; the single-frame alignment arm
 drops segments entirely and aligns one frame with the instruction, and
 exists as a comparison arm.
 
-``segment_logits`` is the one batched form of these rewards. It reads a
-position-major list of (B, K) frame embedding matrices (the endpoints, the
-k+1 hop frames, or the one aligned frame) against (I, K) instruction
-embeddings. The batch loss contrasts its matched entries against all
-in-batch mismatches in both directions, InfoNCE style, and the heatmap
-reads it as the reward. The per-vector helpers are the reference it is
+``segment_logits`` is the one batched form of these rewards. It reads one
+position-major (n_frames * B, K) frame embedding matrix (the endpoints, the
+k+1 hop frames, or the one aligned frame, each position a block of B rows)
+against (I, K) instruction embeddings, so every hop's displacement is one
+row-offset subtraction. The batch loss contrasts its matched entries
+against all in-batch mismatches in both directions, InfoNCE style, and the
+heatmap reads it as the reward. The per-vector helpers are the reference it is
 checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    concat_rows,
-    cosine_matrix,
-    cosine_similarity,
-)
+from .autodiff import Tensor, cosine_matrix, cosine_similarity
 from .errors import EmptyInputError, ShapeMismatchError, check_number
 
 VARIANTS = ("p", "t", "t4", "t8", "frame-align")
@@ -63,8 +58,8 @@ class ObjectiveSpec:
 
     @property
     def n_frames(self) -> int:
-        """Frame embedding matrices a batch of this variant reads: one for
-        frame alignment, else the hops + 1 frames along each segment."""
+        """Frame positions a batch of this variant reads: one for frame
+        alignment, else the hops + 1 frames along each segment."""
         return 1 if self.variant == "frame-align" else self.hops + 1
 
 
@@ -155,24 +150,28 @@ def infonce_pair_loss(logits) -> Tensor:
     return Tensor((col.sum() + row.sum() - diagonal_sum * 2.0) * scale, (logits,), backward)
 
 
-def segment_logits(spec: ObjectiveSpec, frames: Sequence, instructions):
+def segment_logits(spec: ObjectiveSpec, frames, instructions):
     """(B, I) reward of each segment under each row of ``instructions``, in
-    ``spec``'s form, from the ``spec.n_frames`` position-major (B, K) frame
-    matrices in ``frames``: endpoint similarity change (``p``), one frame's
+    ``spec``'s form, from the position-major (``spec.n_frames`` * B, K) frame
+    matrix ``frames``: endpoint similarity change (``p``), one frame's
     similarity (``frame-align``), or summed per-hop displacement directions
     (``t`` is the one-hop case of ``t4``/``t8``)."""
-    if len(frames) != spec.n_frames:
-        raise ShapeMismatchError(
-            f"objective {spec.variant!r} needs {spec.n_frames} frame embedding matrices, got {len(frames)}")
-    if spec.variant == "p":
-        return cosine_matrix(frames[1], instructions) - cosine_matrix(frames[0], instructions)
+    frames = Tensor._lift(frames)
+    shape = frames.shape
+    if len(shape) != 2 or shape[0] == 0 or shape[0] % spec.n_frames:
+        raise ShapeMismatchError(f"objective {spec.variant!r} needs a non-empty 2-D frame matrix of "
+                                 f"{spec.n_frames} equal row blocks, one per frame position; got shape {shape}")
     if spec.variant == "frame-align":
-        return cosine_matrix(frames[0], instructions)
-    # every hop's displacements in one (hops * B, I) product, then summed in hop order
-    hop_logits = cosine_matrix(concat_rows([b - a for a, b in zip(frames[:-1], frames[1:])]), instructions)
-    return hop_logits.reshape((spec.hops, -1, hop_logits.shape[1])).sum(axis=0)
+        return cosine_matrix(frames, instructions)
+    b = shape[0] // spec.n_frames
+    later, earlier = frames.slice_rows(b, shape[0]), frames.slice_rows(0, shape[0] - b)
+    if spec.variant == "p":
+        return cosine_matrix(later, instructions) - cosine_matrix(earlier, instructions)
+    # every hop's displacement in one (hops * B, I) product, then summed in hop order
+    hop_logits = cosine_matrix(later - earlier, instructions)
+    return hop_logits.reshape((spec.hops, b, hop_logits.shape[1])).sum(axis=0)
 
 
-def batch_loss(spec: ObjectiveSpec, frames: Sequence, instructions):
+def batch_loss(spec: ObjectiveSpec, frames, instructions):
     """InfoNCE over ``spec``'s segment logits, scaled by 1/temperature."""
     return infonce_pair_loss(segment_logits(spec, frames, instructions) * (1.0 / spec.temperature))

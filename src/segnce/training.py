@@ -292,19 +292,17 @@ def descend(leaves: Sequence[Tensor], lr: float, steps: int, loss_at, where,
     return losses, norms
 
 
-def batch_embeddings(embed, observations: np.ndarray, rows: np.ndarray) -> list[Tensor]:
+def batch_embeddings(embed, observations: np.ndarray, rows: np.ndarray) -> Tensor:
     """Rows ``rows[j]`` of the stacked ``observations`` matrix for every
-    segment j, gathered position-major in one fancy index, embedded by one
-    ``embed`` call and split into the position-major list of (segments, K)
-    matrices that ``segment_logits`` reads."""
-    n, width = rows.shape
-    embedded = Tensor._lift(embed(observations[rows.T.ravel()]))
-    return [embedded.slice_rows(i * n, (i + 1) * n) for i in range(width)]
+    segment j, gathered position-major in one fancy index and embedded by one
+    ``embed`` call: the (positions * segments, K) matrix that
+    ``segment_logits`` reads, one block of rows per frame position."""
+    return Tensor._lift(embed(observations[rows.T.ravel()]))
 
 
 def _embed_batch(encoders: Encoders, spec: ObjectiveSpec, dataset: Sequence[Trajectory], rows: np.ndarray,
-                 rng) -> tuple[list[Tensor], Tensor]:
-    """The frame matrices and per-row instruction embeddings of a batch of
+                 rng) -> tuple[Tensor, Tensor]:
+    """The frame matrix and per-row instruction embeddings of a batch of
     (trajectory, start, goal) rows: the frames in one gather and one vision
     pass, each distinct instruction encoded once, in order of first
     appearance. Frame alignment reads one frame per row, drawn uniformly

@@ -110,8 +110,8 @@ def loss_gradient_error(variant: str, seed: int, batch_size: int = 4, step: floa
         )
         model = Encoders(vision, InstructionEncoderParams(pieces[2 * n_vis], projection), config)
         psi = encode_instructions(model.language, instructions)
-        embs = [encode_observations(model.vision, fr) for fr in frames]
-        return batch_loss(spec, embs[: spec.n_frames], psi)
+        embedded = encode_observations(model.vision, frames[: spec.n_frames].reshape(-1, config.d_obs))
+        return batch_loss(spec, embedded, psi)
 
     return finite_difference_check(f, flat, step=step)
 

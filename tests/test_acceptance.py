@@ -253,11 +253,11 @@ def test_c04_equal_logit_closed_form():
         frames = [np.tile(np.linspace(1, 2, k) * (i + 1), (b, 1)) for i in range(9)]
         target = 2 * np.log(b)
         for value in (
-            batch_loss(ObjectiveSpec("p"), [starts, goals], instructions),
-            batch_loss(ObjectiveSpec("t"), [starts, goals], instructions),
-            batch_loss(ObjectiveSpec("t4"), frames[:5], instructions),
-            batch_loss(ObjectiveSpec("t8"), frames, instructions),
-            batch_loss(ObjectiveSpec("frame-align"), [goals], instructions),
+            batch_loss(ObjectiveSpec("p"), np.concatenate([starts, goals]), instructions),
+            batch_loss(ObjectiveSpec("t"), np.concatenate([starts, goals]), instructions),
+            batch_loss(ObjectiveSpec("t4"), np.concatenate(frames[:5]), instructions),
+            batch_loss(ObjectiveSpec("t8"), np.concatenate(frames), instructions),
+            batch_loss(ObjectiveSpec("frame-align"), goals, instructions),
         ):
             worst = max(worst, abs(float(value) - target))
     elapsed = time.time() - t0

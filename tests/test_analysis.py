@@ -97,7 +97,7 @@ class TestRewardCurve:
         psi = embed_instructions(tiny_ckpt, [traj.instruction])
         spec = ObjectiveSpec("frame-align", embed_dim=tiny_ckpt.objective.embed_dim)
         np.testing.assert_array_equal(reward_curve(tiny_ckpt, traj, traj.instruction).raw,
-                                      segment_logits(spec, [phi], psi).value[:, 0])
+                                      segment_logits(spec, phi, psi).value[:, 0])
 
 
 class TestHeatmap:

@@ -7,6 +7,7 @@ import pytest
 
 from segnce.autodiff import Tensor, cosine_matrix, logsumexp, no_grad
 from segnce.errors import EmptyInputError, ShapeMismatchError
+from segnce.sampling import frame_positions
 from segnce.objectives import (
     VARIANTS,
     ObjectiveSpec,
@@ -114,12 +115,12 @@ class TestMultiframeReward:
 
 def equal_logit_embeddings(b, k, single=False):
     """Identical displacements and instructions give an all-equal logit matrix:
-    the (starts, goals) frame list, or the goals alone for frame alignment,
-    and the instruction rows."""
+    the stacked (starts, goals) frame matrix, or the goals alone for frame
+    alignment, and the instruction rows."""
     starts = np.zeros((b, k))
     goals = np.tile(np.linspace(1, 2, k), (b, 1))
     instructions = np.tile(np.linspace(-1, 1, k), (b, 1))
-    return ([goals] if single else [starts, goals]), instructions
+    return (goals if single else np.concatenate([starts, goals])), instructions
 
 
 class TestBatchLosses:
@@ -133,7 +134,7 @@ class TestBatchLosses:
 
     def test_equal_logits_multiframe(self):
         b, k = 4, 5
-        frames = [np.tile(np.linspace(1, 2, k) * (i + 1), (b, 1)) for i in range(5)]
+        frames = np.concatenate([np.tile(np.linspace(1, 2, k) * (i + 1), (b, 1)) for i in range(5)])
         instructions = np.tile(np.linspace(-1, 1, k), (b, 1))
         assert float(batch_loss(ObjectiveSpec("t4"), frames, instructions)) == pytest.approx(2 * np.log(b), abs=1e-10)
 
@@ -158,25 +159,20 @@ class TestBatchLosses:
         # a small step along the negative gradient must raise the matched
         # displacement/instruction logit and lower the mismatched one
         rng = np.random.default_rng(5)
-        starts = Tensor(rng.normal(size=(2, 4)))
-        goals = Tensor(rng.normal(size=(2, 4)))
+        frames = Tensor(rng.normal(size=(4, 4)))  # two starts, then two goals
         instructions = Tensor(rng.normal(size=(2, 4)))
-        loss = batch_loss(ObjectiveSpec("t"), [starts, goals], instructions)
+        loss = batch_loss(ObjectiveSpec("t"), frames, instructions)
         loss.backward()
 
-        def logits(s, g, i):
-            disp = g - s
+        def logits(f, i):
+            disp = f[2:] - f[:2]
             disp = disp / np.linalg.norm(disp, axis=1, keepdims=True)
             ins = i / np.linalg.norm(i, axis=1, keepdims=True)
             return disp @ ins.T
 
-        before = logits(starts.value, goals.value, instructions.value)
+        before = logits(frames.value, instructions.value)
         eta = 1e-3
-        after = logits(
-            starts.value - eta * starts.grad,
-            goals.value - eta * goals.grad,
-            instructions.value - eta * instructions.grad,
-        )
+        after = logits(frames.value - eta * frames.grad, instructions.value - eta * instructions.grad)
         assert after[0, 0] > before[0, 0] and after[1, 1] > before[1, 1]
         assert after[0, 1] < before[0, 1] and after[1, 0] < before[1, 0]
 
@@ -234,7 +230,7 @@ def test_loss_gradients_validate(variant):
 
 def test_batch_loss_dispatch():
     rng = np.random.default_rng(4)
-    frames, instructions = [rng.normal(size=(4, 5)) for _ in range(2)], rng.normal(size=(4, 5))
+    frames, instructions = rng.normal(size=(8, 5)), rng.normal(size=(4, 5))
     spec = ObjectiveSpec(variant="p", embed_dim=5, temperature=0.5)
     assert float(batch_loss(spec, frames, instructions)) == pytest.approx(
         float(infonce_pair_loss(segment_logits(spec, frames, instructions) * 2.0))
@@ -245,28 +241,80 @@ def test_batch_loss_dispatch():
 
 def test_one_hop_transition_equals_displacement_cosine_bit_for_bit():
     """``t`` is the one-hop case of the hop branch, and its values and the
-    gradients of both inputs are bit for bit those of
-    ``cosine_matrix(goals - starts, instructions)``."""
+    gradients of the starts, the goals and the instructions are bit for bit
+    those of ``cosine_matrix(goals - starts, instructions)``."""
     rng = np.random.default_rng(7)
     values = [rng.normal(size=(6, 4)) for _ in range(3)]
     weights = rng.normal(size=(6, 6))
+    frames, instructions = Tensor(np.concatenate(values[:2])), Tensor(values[2].copy())
+    logits = segment_logits(ObjectiveSpec("t"), frames, instructions)
+    (logits * weights).sum().backward()
+    starts, goals, reference_instructions = (Tensor(v.copy()) for v in values)
+    reference = cosine_matrix(goals - starts, reference_instructions)
+    (reference * weights).sum().backward()
+    got = [logits.value, frames.grad[:6], frames.grad[6:], instructions.grad]
+    want = [reference.value, starts.grad, goals.grad, reference_instructions.grad]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def reference_concat_rows(parts):
+    """A row concatenation node: each part gets its rows of the gradient."""
+    bounds = np.cumsum([0, *(p.shape[0] for p in parts)])
+
+    def backward(out):
+        for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            part._add_grad(out.grad[lo:hi])
+
+    return Tensor(np.concatenate([p.value for p in parts]), parts, backward)
+
+
+def per_position_hop_logits(spec, embedded, instructions):
+    """The per-position composite of the hop branch: one slice per frame
+    position, one subtraction per hop, the hops concatenated, then one
+    cosine product summed over hops."""
+    b = embedded.shape[0] // spec.n_frames
+    frames = [embedded.slice_rows(i * b, (i + 1) * b) for i in range(spec.n_frames)]
+    hop_logits = cosine_matrix(reference_concat_rows([hi - lo for lo, hi in zip(frames[:-1], frames[1:])]),
+                               instructions)
+    return hop_logits.reshape((spec.hops, b, hop_logits.shape[1])).sum(axis=0)
+
+
+@pytest.mark.parametrize("variant", ["t", "t4", "t8"])
+def test_stacked_hops_equal_per_position_composite_bit_for_bit(variant):
+    """One row-offset subtraction over the stacked frame matrix gives the
+    logits and the frame-matrix gradient of the per-position composite, bit
+    for bit, also for a segment whose repeated hop frames give zero
+    displacements."""
+    spec, b = ObjectiveSpec(variant, embed_dim=4), 6
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(spec.n_frames * b, 4))
+    # segment 0 runs from frame 0 to frame 2, so most of its t8 hop frames repeat
+    values[::b] = rng.normal(size=(3, 4))[frame_positions([0], [2], spec.hops)[0]]
+    instructions, weights = rng.normal(size=(b, 4)), rng.normal(size=(b, b))
     results = []
-    for logits_of in (
-        lambda s, g, ins: segment_logits(ObjectiveSpec("t"), [s, g], ins),
-        lambda s, g, ins: cosine_matrix(g - s, ins),
-    ):
-        starts, goals, instructions = (Tensor(v.copy()) for v in values)
-        logits = logits_of(starts, goals, instructions)
+    for logits_of in (lambda e: segment_logits(spec, e, instructions),
+                      lambda e: per_position_hop_logits(spec, e, instructions)):
+        embedded = Tensor(values.copy())
+        logits = logits_of(embedded)
         (logits * weights).sum().backward()
-        results.append([logits.value, starts.grad, goals.grad, instructions.grad])
+        results.append((logits.value, embedded.grad))
     for got, want in zip(*results):
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+    if variant == "t8":
+        assert np.count_nonzero(~np.diff(values[::b], axis=0).any(axis=1)) == 6
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_wrong_frame_count_names_the_variant(variant):
+    """A frame matrix that is not 2-D, is empty, or whose height is not a
+    multiple of the variant's frame count is refused by name; frame
+    alignment reads any non-empty height as one block."""
     spec = ObjectiveSpec(variant)
     instructions = np.ones((3, 4))
-    for count in (spec.n_frames - 1, spec.n_frames + 1):
+    heights = (spec.n_frames - 1, spec.n_frames + 1) if spec.n_frames > 1 else ()
+    for frames in (np.ones(4), np.ones((2, 3, 4)), np.ones((0, 4)), *(np.ones((h, 4)) for h in heights)):
         with pytest.raises(ShapeMismatchError, match=re.escape(f"{variant!r}")):
-            segment_logits(spec, [np.ones((3, 4))] * count, instructions)
+            segment_logits(spec, frames, instructions)
+    if not heights:
+        assert segment_logits(spec, np.ones((5, 4)), instructions).shape == (5, 3)

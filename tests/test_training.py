@@ -450,7 +450,7 @@ class TestLeanGraph:
         try:
             rows = sample_batch(lengths(small_dataset), 8, rng)
             frames, instructions = _embed_batch(enc, spec, small_dataset, rows, rng)
-            interior = weakref.ref(frames[4])
+            interior = weakref.ref(frames)
             loss = batch_loss(spec, frames, instructions)
             del frames, instructions
             loss.backward()
@@ -460,23 +460,37 @@ class TestLeanGraph:
             if was_enabled:
                 gc.enable()
 
+    def test_hop_count_adds_no_graph_node(self, small_dataset):
+        """Every hop's displacement is one row-offset subtraction over the
+        stacked frame matrix, so the t, t4 and t8 loss graphs have the same
+        node count, and frame alignment scores that matrix unsliced."""
+        graphs = {}
+        for variant in ("t", "t4", "t8", "frame-align"):
+            spec, enc = _encoders(small_dataset, variant)
+            rng = np.random.default_rng(0)
+            rows = sample_batch(lengths(small_dataset), 8, rng)
+            graphs[variant] = batch_loss(spec, *_embed_batch(enc, spec, small_dataset, rows, rng))._topo_order()
+        assert len(graphs["t"]) == len(graphs["t4"]) == len(graphs["t8"])
+        assert not [node for node in graphs["frame-align"]
+                    if node._backward is not None and node._backward.__qualname__.startswith("Tensor.slice_rows.")]
+
     def test_inputs_and_constants_get_no_gradient(self, small_dataset):
         """Only parameters receive gradients, and the parameter gradients equal,
         bit for bit, those of the same graph with a differentiable input."""
         spec, enc = _encoders(small_dataset, "t")
-        obs = np.stack([traj.observations[[0, -1]] for traj in small_dataset[:8]], axis=1)
+        obs = np.stack([traj.observations[i] for i in (0, -1) for traj in small_dataset[:8]])  # starts, goals
         psi = encode_instructions(enc.language, [t.instruction for t in small_dataset[:8]])
 
         def parameter_grads(embed):
-            loss = batch_loss(spec, [embed(obs[0]), embed(obs[1])], psi)
+            loss = batch_loss(spec, embed(obs), psi)
             loss.backward()
             return loss, [leaf.grad.copy() for leaf in enc.leaves()]
 
         loss, grads = parameter_grads(lambda o: encode_observations(enc.vision, o))
         params = {id(leaf) for leaf in enc.leaves()}
         leaves = [node for node in loss._topo_order() if not node._parents]
-        inputs = [node for node in leaves if node.value.shape == obs[0].shape]
-        assert len(inputs) == 2 and len(leaves) > len(params) + 2  # inputs and lifted constants
+        inputs = [node for node in leaves if node.value.shape == obs.shape]
+        assert len(inputs) == 1 and len(leaves) > len(params) + 2  # the input and lifted constants
         for node in leaves:
             if id(node) in params:
                 assert node.requires_grad and node.grad is not None
@@ -529,7 +543,7 @@ def test_stacked_embedding_matches_reference_rewards(small_dataset, variant):
             assert abs(logits[j, i] - want) <= 1e-12
 
     if variant == "t8":
-        hops = [b.value[0] - a.value[0] for a, b in zip(frames[:-1], frames[1:])]
+        hops = np.diff(frames.value[::len(rows)], axis=0)
         index = hop_frames(segments[0], 8)
         repeated = [hop for hop, a, b in zip(hops, index[:-1], index[1:]) if a == b]
         assert len(repeated) == 6 and not np.any(repeated)
@@ -570,10 +584,9 @@ def test_embedded_frames_equal_per_segment_reference(monkeypatch, config, varian
         want = per_segment_frames(spec, segments, ref_rng)
         assert np.array_equal(seen.pop(), want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        embedded = encode_observations(enc.vision, want).value.reshape(-1, 16, enc.config.embed_dim)
-        assert len(frames) == len(embedded) == spec.n_frames
-        for got, ref in zip(frames, embedded):
-            assert np.array_equal(got.value, ref)
+        embedded = encode_observations(enc.vision, want).value
+        assert frames.shape == (spec.n_frames * 16, enc.config.embed_dim)
+        assert np.array_equal(frames.value, embedded)
 
 
 class TestCheckpointIo:
